@@ -1,12 +1,10 @@
 //! Fixed smoke benchmark with machine-readable output.
 //!
-//! Criterion gives statistically careful numbers but its reports are for
-//! humans; this binary runs a small, fixed subset of the `engines` bench
-//! plus a shared-stream sweep-kernel duel, one figure sweep, a
-//! checkpoint/chaos probe, and a `serr serve` service probe, and writes
-//! the results as JSON to `BENCH_engines.json`
-//! at the repository root, so successive PRs leave a perf trajectory that
-//! tooling can diff.
+//! This binary runs a small, fixed set of sampler duels plus a
+//! shared-stream sweep-kernel duel, one figure sweep, a checkpoint/chaos
+//! probe, and a `serr serve` service probe, and writes the results as JSON
+//! to `BENCH_engines.json` at the repository root, so successive changes
+//! leave a perf trajectory that tooling can diff.
 //!
 //! Usage: `cargo run --release -p serr-bench --bin bench_smoke [out.json]`
 
@@ -119,8 +117,7 @@ fn main() {
     let freq = Frequency::base();
     let mut timings = Vec::new();
 
-    // The `monte_carlo/fine_grained_10k_segments` criterion case, verbatim:
-    // the per-event phase-lookup stress test the compiled path targets.
+    // The per-event phase-lookup stress test the compiled path targets.
     let levels: Vec<f64> = (0..10_000).map(|i| f64::from(u32::from(i % 7 == 0))).collect();
     let fine = IntervalTrace::from_levels(&levels).expect("fine-grained trace levels are valid");
     let mc = MonteCarlo::new(MonteCarloConfig { trials: 2_000, threads: 1, ..Default::default() });

@@ -1,5 +1,5 @@
-//! Shared plumbing for the experiment binaries and Criterion benches: a
-//! plain-text table printer and a `--quick`/`--full` argument convention.
+//! Shared plumbing for the experiment binaries: a plain-text table printer
+//! and a `--quick`/`--full` argument convention.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the paper:
 //!

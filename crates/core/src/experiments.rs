@@ -4,7 +4,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 use serr_mc::batched::BATCHED_RNG_SCHEDULE_VERSION;
 use serr_mc::{MonteCarlo, MonteCarloConfig, MttfEstimate};
 use serr_obs::Obs;
@@ -26,7 +25,7 @@ use crate::validate::Validator;
 pub const REPRESENTATIVE_BENCHMARKS: [&str; 3] = ["gzip", "mcf", "equake"];
 
 /// Shared experiment configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentConfig {
     /// Instructions of detailed simulation per benchmark. The paper uses
     /// 100M; masking statistics converge far earlier for the synthetic
@@ -118,24 +117,18 @@ impl Default for ExperimentConfig {
 ///
 /// `mc.threads` is canonicalised to zero first: the engine's chunked RNG
 /// makes every estimate bit-identical at any thread count, so a journal
-/// written on an 8-core box must resume cleanly on a 64-core one.
+/// written on an 8-core box must resume cleanly on a 64-core one. The RNG
+/// schedule version joins too: a schedule bump changes the sampled bits
+/// themselves and must send resumed runs to a fresh journal.
 fn sweep_fingerprint(kind: &str, cfg: &ExperimentConfig, coords: &[String]) -> u64 {
     let mut canon = *cfg;
     canon.mc.threads = 0;
     let cfg_str = format!("{canon:?}");
-    // The RNG schedule version joins the fingerprint only once it moves off
-    // v1. The shared-stream sweep kernel consumes the v1 word schedule
-    // exactly like the independent per-point path did, so rows journaled by
-    // either are bit-identical and legacy journals stay resumable; a future
-    // schedule bump changes the sampled bits themselves and must send
-    // resumed runs to a fresh journal.
     let schedule = format!("rng-schedule-v{BATCHED_RNG_SCHEDULE_VERSION}");
     let mut parts: Vec<&str> = Vec::with_capacity(3 + coords.len());
     parts.push(kind);
     parts.push(&cfg_str);
-    if BATCHED_RNG_SCHEDULE_VERSION != 1 {
-        parts.push(&schedule);
-    }
+    parts.push(&schedule);
     parts.extend(coords.iter().map(String::as_str));
     checkpoint::fingerprint(&parts)
 }
@@ -282,7 +275,7 @@ pub fn spec_processor_trace(
 // ---------------------------------------------------------------------------
 
 /// One benchmark's row of the Section 5.1 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sec51Row {
     /// Benchmark name.
     pub benchmark: String,
@@ -428,7 +421,7 @@ fn sec5_1_row(name: &str, cfg: &ExperimentConfig) -> Result<Sec51Row, SerrError>
 // ---------------------------------------------------------------------------
 
 /// One point of Figure 5.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig5Row {
     /// Workload label.
     pub workload: String,
@@ -556,7 +549,7 @@ pub fn fig5_sweep(
 // ---------------------------------------------------------------------------
 
 /// One point of Figure 6 (either panel).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig6Row {
     /// Workload or benchmark label.
     pub workload: String,
@@ -760,7 +753,7 @@ fn fig6_rows_sweep(
 // ---------------------------------------------------------------------------
 
 /// One point of the Section 5.4 sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sec54Row {
     /// Workload label.
     pub workload: String,
@@ -1030,79 +1023,6 @@ mod tests {
             fig5_sweep(&[Workload::Day], points, &other, &SweepOptions::resume().in_dir(&dir))
                 .unwrap();
         assert_eq!((third.computed, third.resumed), (2, 0));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A journal written by the pre-kernel per-point path — one independent
-    /// Monte Carlo engine run per design point through
-    /// [`Validator::component`] — must resume bit-identically under the
-    /// shared-stream kernel: same sweep name, same fingerprint (the RNG
-    /// schedule is still v1), same bits in every restored row, and the
-    /// points the legacy run never reached compute on the kernel path to
-    /// exactly the values the legacy path would have produced.
-    #[test]
-    fn legacy_per_point_journal_resumes_bit_identically_under_the_kernel() {
-        let dir = std::env::temp_dir().join(format!("serr-fig5-legacy-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let c = cfg();
-        let n_points: &[f64] = &[1e7, 1e10, 1e13];
-
-        // Rebuild exactly the design points and fingerprint `fig5_sweep`
-        // derives, then journal a two-point prefix the way the old code
-        // did — `run_sweep` with a per-point independent engine run —
-        // simulating a legacy run interrupted before its last point.
-        let trace = synthesized_trace(Workload::Day, &c).unwrap();
-        let points: Vec<(Workload, Arc<dyn VulnerabilityTrace>, f64)> =
-            n_points.iter().map(|&prod| (Workload::Day, trace.clone(), prod)).collect();
-        let coords: Vec<String> =
-            points.iter().map(|(w, _, prod)| format!("{}@{prod:?}", w.label())).collect();
-        let fp = sweep_fingerprint("fig5", &c, &coords);
-        let (threads, inner) = fanout(&c, points.len());
-        let v = inner.validator();
-        let legacy = checkpoint::run_sweep(
-            "fig5",
-            fp,
-            &points[..2],
-            threads,
-            &SweepOptions::fresh().in_dir(&dir),
-            |_, (w, trace, prod)| {
-                let cv = v.component(&**trace, RawErrorRate::baseline_per_bit().scale(*prod))?;
-                Ok(Fig5Row {
-                    workload: w.label().to_owned(),
-                    n_times_s: *prod,
-                    avf: cv.avf,
-                    mttf_avf_years: cv.mttf_avf.as_years(),
-                    mttf_mc_years: cv.mttf_mc.mttf.as_years(),
-                    error: cv.avf_error_vs_mc,
-                    softarch_error: cv.softarch_error_vs_mc,
-                })
-            },
-        )
-        .unwrap();
-        assert!(legacy.failures.is_empty());
-        assert_eq!((legacy.computed, legacy.resumed), (2, 0));
-
-        // Resume under the kernel: the legacy prefix restores from the
-        // journal; only the third point runs, on the shared-stream path.
-        let resumed =
-            fig5_sweep(&[Workload::Day], n_points, &c, &SweepOptions::resume().in_dir(&dir))
-                .unwrap();
-        assert!(resumed.failures.is_empty());
-        assert_eq!((resumed.computed, resumed.resumed), (1, 2));
-
-        // Every row — legacy-restored or kernel-computed — is bit-identical
-        // to an un-journaled kernel run of the whole sweep.
-        let fresh = fig5(&[Workload::Day], n_points, &c).unwrap();
-        assert_eq!(resumed.rows.len(), fresh.len());
-        for (a, b) in resumed.rows.iter().zip(&fresh) {
-            assert_eq!(a.workload, b.workload);
-            assert_eq!(a.n_times_s.to_bits(), b.n_times_s.to_bits());
-            assert_eq!(a.avf.to_bits(), b.avf.to_bits());
-            assert_eq!(a.mttf_avf_years.to_bits(), b.mttf_avf_years.to_bits());
-            assert_eq!(a.mttf_mc_years.to_bits(), b.mttf_mc_years.to_bits());
-            assert_eq!(a.error.to_bits(), b.error.to_bits());
-            assert_eq!(a.softarch_error.to_bits(), b.softarch_error.to_bits());
-        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

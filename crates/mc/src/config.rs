@@ -2,7 +2,6 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
 use serr_inject::FaultPlan;
 use serr_types::SerrError;
 
@@ -13,7 +12,7 @@ use serr_types::SerrError;
 /// half). For a long-running system observed at a random time, the
 /// stationary convention is the physically neutral choice; the SOFR-step
 /// discrepancy is sensitive to this (see the `ablation_phase` binary).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StartPhase {
     /// Every trial starts at cycle 0 of the loop (the paper's convention).
     #[default]
@@ -30,7 +29,7 @@ pub enum StartPhase {
 /// intensity `λ·v(t)`, so `P(TTF > t) = exp(−λ·V(t))` either way. They
 /// differ only in cost — and in which compiled tables they read, which is
 /// why the chaos taxonomy distinguishes them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SamplerKind {
     /// Walk raw-error events one at a time (the paper's Appendix A
     /// decomposition): geometric period skip + truncated-exponential
@@ -96,7 +95,7 @@ impl SamplerKind {
 /// let cfg = MonteCarloConfig { trials: 1_000_000, seed: 7, ..Default::default() };
 /// assert_eq!(cfg.trials, 1_000_000);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MonteCarloConfig {
     /// Number of independent time-to-failure trials to average.
     pub trials: u64,

@@ -37,7 +37,6 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use serr_numeric::stats::{RunningStats, Summary};
 use serr_obs::{Event, Obs};
 use serr_trace::{CompiledTrace, VulnerabilityTrace};
@@ -147,7 +146,7 @@ struct ChunkOutcome {
 }
 
 /// A Monte Carlo MTTF estimate with sampling diagnostics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MttfEstimate {
     /// The estimated mean time to failure.
     pub mttf: Mttf,

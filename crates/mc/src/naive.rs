@@ -7,9 +7,7 @@
 //! flip a coin for a raw error in each cycle, check masking — as a
 //! *reference implementation*: it is obviously correct, runs in time
 //! proportional to the time to failure (instead of the number of raw
-//! errors), and validates the production sampler in `crate::sampler`. The
-//! `engines` Criterion bench quantifies the gap (orders of magnitude),
-//! reproducing the paper's motivation for model-based estimation.
+//! errors), and validates the production sampler in `crate::sampler`.
 
 use rand::Rng;
 use serr_trace::VulnerabilityTrace;

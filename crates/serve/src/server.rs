@@ -583,13 +583,15 @@ impl Server {
             jitter_seed: state.experiment.seed,
         };
         let on_restart = |state: Arc<State>, pool: &'static str| {
+            // Event first, counter last: a client that sees the counter
+            // move can rely on the restart event already being emitted.
             Arc::new(move |slot: usize| {
-                state.obs.metrics().add("serve.worker_restarts", 1);
                 state.obs.emit(
                     Event::warn("serve.worker_restart", state.next_event_seq())
                         .with("pool", pool)
                         .with("slot", slot as u64),
                 );
+                state.obs.metrics().add("serve.worker_restarts", 1);
             })
         };
         let compile = Pool::spawn(

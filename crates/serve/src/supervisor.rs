@@ -77,8 +77,11 @@ impl Pool {
                                     if stopping.load(Ordering::SeqCst) {
                                         break;
                                     }
-                                    restarts.fetch_add(1, Ordering::SeqCst);
+                                    // Hook first, count second: a caller
+                                    // that sees `restarts()` reach n knows
+                                    // n hook calls have returned.
                                     on_restart(slot);
+                                    restarts.fetch_add(1, Ordering::SeqCst);
                                     // Bounded exponential backoff: delay()
                                     // caps at the policy's max_delay, so a
                                     // crash-looping worker cannot spin.
@@ -94,7 +97,9 @@ impl Pool {
         Pool { name, supervisors, stopping, restarts }
     }
 
-    /// Total worker respawns across all slots so far.
+    /// Total worker respawns across all slots so far. Each is counted only
+    /// after its `on_restart` hook has returned, so observing a count of n
+    /// means n hook calls have completed.
     #[must_use]
     pub fn restarts(&self) -> u64 {
         self.restarts.load(Ordering::SeqCst)
@@ -159,7 +164,14 @@ mod tests {
             })
         };
         let pool = Pool::spawn("test", 2, tight_policy(), work, Arc::new(|_| {}));
-        while done.load(Ordering::SeqCst) < 40 {
+        // `done` counts an item before its worker panics, and a death seen
+        // after begin_shutdown retires instead of restarting — so wait for
+        // the restarts themselves, not just the backlog, before shutting
+        // down.
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while (done.load(Ordering::SeqCst) < 40 || pool.restarts() < 4)
+            && std::time::Instant::now() < deadline
+        {
             std::thread::yield_now();
         }
         pool.begin_shutdown();

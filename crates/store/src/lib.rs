@@ -37,7 +37,7 @@ pub use codec::{Deserializer, Serializer};
 pub use crc32::crc32;
 pub use mmap::FileBytes;
 pub use pages::{
-    decode_header, encode_header, encode_page, forge_format_version, inspect, read_store, recover,
+    decode_header, encode_header, encode_page, forge_format_version, inspect, recover,
     write_atomic, Header, JournalRecovery, PageInfo, PageJournal, Recovered, StoreBuilder,
     StoreReport, DEFAULT_PAGE_LIMIT, FORMAT_VERSION, FORMAT_VERSION_RANGE, HEADER_LEN, MAGIC,
     PAGE_HEADER_LEN,

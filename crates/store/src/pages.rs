@@ -360,21 +360,6 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SerrError> {
     })
 }
 
-/// Reads and recovers the store at `path` into owned records.
-///
-/// # Errors
-///
-/// [`SerrError::Io`] when the file cannot be read, plus the header errors
-/// of [`recover`].
-pub fn read_store(path: &Path) -> Result<(Header, Vec<Vec<u8>>, bool), SerrError> {
-    let site = path.display().to_string();
-    let bytes =
-        fs::read(path).map_err(|e| SerrError::io(format!("read store {site}"), e.to_string()))?;
-    let rec = recover(&bytes, &site)?;
-    let records = rec.records.iter().map(|r| r.to_vec()).collect();
-    Ok((rec.header, records, rec.truncated()))
-}
-
 /// What [`PageJournal::open`] found on disk.
 #[derive(Debug)]
 pub struct JournalRecovery {
@@ -677,7 +662,7 @@ mod tests {
     }
 
     #[test]
-    fn write_atomic_then_read_store_round_trips() {
+    fn write_atomic_then_recover_round_trips() {
         let dir = std::env::temp_dir().join(format!("serr-store-at-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("a.store");
@@ -685,10 +670,11 @@ mod tests {
         let image = build(&records, 1024);
         write_atomic(&path, &image).expect("write");
         assert!(!path.with_extension("tmp").exists());
-        let (header, got, truncated) = read_store(&path).expect("read");
-        assert_eq!(header.kind, 7);
-        assert_eq!(got, records);
-        assert!(!truncated);
+        let bytes = std::fs::read(&path).expect("read");
+        let rec = recover(&bytes, "a.store").expect("recover");
+        assert_eq!(rec.header.kind, 7);
+        assert_eq!(rec.records, records);
+        assert!(!rec.truncated());
         let _ = std::fs::remove_file(&path);
     }
 

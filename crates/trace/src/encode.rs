@@ -6,13 +6,14 @@
 //! segment count, then `(u64 length, f64 vulnerability)` pairs, all
 //! little-endian.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serr_types::SerrError;
 
 use crate::{IntervalTrace, Segment};
 
 const MAGIC: &[u8; 4] = b"SERT";
 const VERSION: u8 = 1;
+const HEADER_LEN: usize = 4 + 1 + 8;
+const SEGMENT_LEN: usize = 8 + 8;
 
 /// Serializes an [`IntervalTrace`] to the compact binary format.
 ///
@@ -23,17 +24,17 @@ const VERSION: u8 = 1;
 /// assert_eq!(decode_interval_trace(&bytes).unwrap(), t);
 /// ```
 #[must_use]
-pub fn encode_interval_trace(trace: &IntervalTrace) -> Bytes {
+pub fn encode_interval_trace(trace: &IntervalTrace) -> Vec<u8> {
     let segs: Vec<Segment> = trace.segments().collect();
-    let mut buf = BytesMut::with_capacity(4 + 1 + 8 + segs.len() * 16);
-    buf.put_slice(MAGIC);
-    buf.put_u8(VERSION);
-    buf.put_u64_le(segs.len() as u64);
+    let mut buf = Vec::with_capacity(HEADER_LEN + segs.len() * SEGMENT_LEN);
+    buf.extend_from_slice(MAGIC);
+    buf.push(VERSION);
+    buf.extend_from_slice(&(segs.len() as u64).to_le_bytes());
     for s in segs {
-        buf.put_u64_le(s.len);
-        buf.put_f64_le(s.vulnerability);
+        buf.extend_from_slice(&s.len.to_le_bytes());
+        buf.extend_from_slice(&s.vulnerability.to_le_bytes());
     }
-    buf.freeze()
+    buf
 }
 
 /// Deserializes a trace produced by [`encode_interval_trace`].
@@ -42,36 +43,39 @@ pub fn encode_interval_trace(trace: &IntervalTrace) -> Bytes {
 ///
 /// Returns [`SerrError::InvalidTrace`] on a bad magic, unsupported version,
 /// truncated input, or invalid segment contents.
-pub fn decode_interval_trace(mut bytes: &[u8]) -> Result<IntervalTrace, SerrError> {
-    if bytes.len() < 13 {
+pub fn decode_interval_trace(bytes: &[u8]) -> Result<IntervalTrace, SerrError> {
+    if bytes.len() < HEADER_LEN {
         return Err(SerrError::invalid_trace("encoded trace truncated before header"));
     }
-    let mut magic = [0u8; 4];
-    bytes.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    let (header, body) = bytes.split_at(HEADER_LEN);
+    if &header[..4] != MAGIC {
         return Err(SerrError::invalid_trace("bad magic in encoded trace"));
     }
-    let version = bytes.get_u8();
+    let version = header[4];
     if version != VERSION {
         return Err(SerrError::invalid_trace(format!("unsupported trace version {version}")));
     }
-    let count = bytes.get_u64_le();
+    let count = u64::from_le_bytes(le8(&header[5..]));
     let need = (count as usize)
-        .checked_mul(16)
+        .checked_mul(SEGMENT_LEN)
         .ok_or_else(|| SerrError::invalid_trace("segment count overflows"))?;
-    if bytes.remaining() != need {
+    if body.len() != need {
         return Err(SerrError::invalid_trace(format!(
             "expected {need} bytes of segments, found {}",
-            bytes.remaining()
+            body.len()
         )));
     }
     let mut segments = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let len = bytes.get_u64_le();
-        let v = bytes.get_f64_le();
-        segments.push(Segment::new(len, v)?);
+    for pair in body.chunks_exact(SEGMENT_LEN) {
+        let len = u64::from_le_bytes(le8(&pair[..8]));
+        segments.push(Segment::new(len, f64::from_le_bytes(le8(&pair[8..])))?);
     }
     IntervalTrace::from_segments(segments)
+}
+
+/// The first eight bytes of `b`, which the callers have length-checked.
+fn le8(b: &[u8]) -> [u8; 8] {
+    b[..8].try_into().expect("caller checked the length")
 }
 
 #[cfg(test)]
@@ -83,6 +87,23 @@ mod tests {
         let t = IntervalTrace::busy_idle(100, 50).unwrap();
         let enc = encode_interval_trace(&t);
         assert_eq!(decode_interval_trace(&enc).unwrap(), t);
+    }
+
+    /// Pins the on-disk image the trace cache stores, so a layout change
+    /// that still round-trips cannot silently invalidate existing entries.
+    #[test]
+    fn busy_idle_encodes_to_the_pinned_byte_image() {
+        let t = IntervalTrace::busy_idle(10, 20).unwrap();
+        #[rustfmt::skip]
+        let expected: [u8; 45] = [
+            b'S', b'E', b'R', b'T', 1,             // magic, version
+            2, 0, 0, 0, 0, 0, 0, 0,                // segment count
+            10, 0, 0, 0, 0, 0, 0, 0,               // len 10
+            0, 0, 0, 0, 0, 0, 0xf0, 0x3f,          // vulnerability 1.0
+            20, 0, 0, 0, 0, 0, 0, 0,               // len 20
+            0, 0, 0, 0, 0, 0, 0, 0,                // vulnerability 0.0
+        ];
+        assert_eq!(encode_interval_trace(&t)[..], expected[..]);
     }
 
     #[test]
@@ -97,7 +118,7 @@ mod tests {
     #[test]
     fn rejects_corruption() {
         let t = IntervalTrace::busy_idle(4, 4).unwrap();
-        let enc = encode_interval_trace(&t).to_vec();
+        let enc = encode_interval_trace(&t);
 
         // Truncated.
         assert!(decode_interval_trace(&enc[..enc.len() - 1]).is_err());
@@ -124,7 +145,7 @@ mod tests {
     #[test]
     fn trailing_garbage_is_rejected() {
         let t = IntervalTrace::busy_idle(4, 4).unwrap();
-        let mut enc = encode_interval_trace(&t).to_vec();
+        let mut enc = encode_interval_trace(&t);
         enc.push(0);
         assert!(decode_interval_trace(&enc).is_err());
     }

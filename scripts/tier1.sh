@@ -7,12 +7,18 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 
+# Whole-workspace gate: plain `cargo test` only runs the root package, and
+# plain `cargo build` skips the serr-bench binaries. Every crate's suite
+# runs here, and --no-fail-fast reports every failing crate, not just the
+# first.
+cargo test -q --workspace --no-fail-fast
+cargo build --release -p serr-bench
+
 # Storage gate: the durable-store suites by name — the CRC-paged container
-# (serr-store), the binary journal/cache ports in serr-core, and the
-# workspace-level durability acceptance (JSONL migration + torn-write
-# recovery, bit-identical at 1 and 8 worker threads). All of these already
-# ran inside the workspace `cargo test` above; running them addressed keeps
-# a storage regression from hiding in a long test log.
+# (serr-store) and the workspace-level durability acceptance (torn-write
+# recovery, bit-identical at 1 and 8 worker threads). Both also ran in the
+# workspace step above; running them addressed keeps a storage regression
+# from hiding in a long test log.
 cargo test -q -p serr-store
 cargo test -q --test storage_durability
 
@@ -122,7 +128,7 @@ rm -rf "$SERVE_DIR"
 
 # Robustness gate: no `.unwrap()` in library or binary code — a poisoned
 # design point must surface as a typed error, never a panic path someone
-# forgot about. Test code (#[cfg(test)] and tests//benches/ targets) is
+# forgot about. Test code (#[cfg(test)] and tests/ targets) is
 # exempt, which is exactly what the --lib --bins target selection gives us.
 # `unwrap_used` is a restriction-group lint, so `-A clippy::all` silences
 # the default lints without masking it. `.expect("reason")` stays allowed:

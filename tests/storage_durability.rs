@@ -1,17 +1,13 @@
-//! Durability acceptance for the binary checkpoint store: legacy JSONL
-//! journals migrate once and resume bit-identically, and a write torn
+//! Durability acceptance for the binary checkpoint store: a write torn
 //! mid-page by a kill is truncated away on the next open — with the
 //! surviving prefix resumed and the rest recomputed to the same bits —
 //! at any worker thread count.
 
 use std::fs;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use serr_core::checkpoint::{
-    fingerprint, journal_path, legacy_journal_path, run_sweep, JournalRow, SweepOptions,
-};
+use serr_core::checkpoint::{fingerprint, journal_path, run_sweep, JournalRow, SweepOptions};
 use serr_core::jsonio::Json;
 use serr_types::SerrError;
 
@@ -59,72 +55,6 @@ fn assert_bit_identical(actual: &[Row], reference: &[Row]) {
             a.value,
             r.value
         );
-    }
-}
-
-/// One journal line in the legacy JSONL format older releases wrote:
-/// `{"i":<index>,"ck":"<fnv-1a hex>","row":<row json>}`, where the checksum
-/// is the public part-boundary fingerprint over the decimal index and the
-/// row's canonical JSON.
-fn legacy_line(index: usize, row: &Json) -> String {
-    let row_json = row.to_json();
-    let ck = fingerprint(&[&index.to_string(), &row_json]);
-    format!("{{\"i\":{index},\"ck\":\"{ck:016x}\",\"row\":{row_json}}}")
-}
-
-fn write_legacy_journal(dir: &Path, kind: &str, fp: u64, rows: &[Row]) {
-    fs::create_dir_all(dir).expect("create journal dir");
-    let path = legacy_journal_path(dir, kind, fp);
-    let mut file = fs::File::create(&path).expect("create legacy journal");
-    for (i, row) in rows.iter().enumerate() {
-        writeln!(file, "{}", legacy_line(i, &row.to_journal())).expect("write legacy line");
-    }
-}
-
-/// A sweep checkpointed under the legacy JSONL format resumes after the
-/// one-time binary migration without recomputing a single migrated point,
-/// bit-identically, whether the recompute pool runs 1 worker or 8.
-#[test]
-fn legacy_jsonl_journal_migrates_once_and_resumes_bit_identically() {
-    let items: Vec<u64> = (0..12).collect();
-    let reference =
-        run_sweep("mig", 1, &items, 1, &SweepOptions::off(), eval).expect("reference sweep").rows;
-
-    for threads in [1usize, 8] {
-        let dir = scratch(&format!("migrate-t{threads}"));
-        let kind = "mig";
-        let fp = fingerprint(&["storage-durability", "migration", &threads.to_string()]);
-        // A legacy journal holding the first 8 points — the on-disk state
-        // a pre-binary release left behind mid-sweep.
-        write_legacy_journal(&dir, kind, fp, &reference[..8]);
-
-        let calls = AtomicUsize::new(0);
-        let opts = SweepOptions::resume().in_dir(&dir);
-        let report = run_sweep(kind, fp, &items, threads, &opts, |i, x| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            eval(i, x)
-        })
-        .expect("resumed sweep");
-        assert_eq!(report.resumed, 8, "threads={threads}: all legacy rows resume");
-        assert_eq!(calls.load(Ordering::Relaxed), 4, "threads={threads}: only the tail computes");
-        assert_bit_identical(&report.rows, &reference);
-
-        let store = journal_path(&dir, kind, fp);
-        let legacy = legacy_journal_path(&dir, kind, fp);
-        assert!(store.exists(), "threads={threads}: migration wrote the binary journal");
-        assert!(!legacy.exists(), "threads={threads}: the legacy journal is read once, then gone");
-
-        // The migrated journal now carries all 12 points.
-        let calls = AtomicUsize::new(0);
-        let second = run_sweep(kind, fp, &items, threads, &opts, |i, x| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            eval(i, x)
-        })
-        .expect("second resume");
-        assert_eq!(calls.load(Ordering::Relaxed), 0, "threads={threads}");
-        assert_eq!(second.resumed, 12, "threads={threads}");
-        assert_bit_identical(&second.rows, &reference);
-        let _ = fs::remove_dir_all(&dir);
     }
 }
 
