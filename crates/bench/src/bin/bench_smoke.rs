@@ -1,10 +1,11 @@
 //! Fixed smoke benchmark with machine-readable output.
 //!
 //! This binary runs a small, fixed set of sampler duels plus a
-//! shared-stream sweep-kernel duel, one figure sweep, a checkpoint/chaos
-//! probe, and a `serr serve` service probe, and writes the results as JSON
-//! to `BENCH_engines.json` at the repository root, so successive changes
-//! leave a perf trajectory that tooling can diff.
+//! shared-stream sweep-kernel duel, a timing-simulator row, one figure
+//! sweep, a checkpoint/chaos probe, and a `serr serve` service probe, and
+//! writes the results as JSON to `BENCH_engines.json` at the repository
+//! root, so successive changes leave a perf trajectory that tooling can
+//! diff.
 //!
 //! Usage: `cargo run --release -p serr-bench --bin bench_smoke [out.json]`
 
@@ -24,8 +25,10 @@ use serr_inject::{FaultKind, FaultPlan};
 use serr_mc::{MonteCarlo, MonteCarloConfig, SamplerKind};
 use serr_obs::{Event, Obs, Value};
 use serr_serve::{Bind, Client, Request, RequestBody, Response, ServeConfig, Server};
+use serr_sim::{SimConfig, Simulator};
 use serr_trace::{CompiledTrace, IntervalTrace, VulnerabilityTrace};
 use serr_types::{Frequency, RawErrorRate};
+use serr_workload::{BenchmarkProfile, Instruction, TraceGenerator};
 
 /// Pulls a numeric field out of an event, NaN if absent or non-numeric.
 fn field_f64(e: &Event, key: &str) -> f64 {
@@ -61,6 +64,43 @@ fn time<R>(name: &'static str, iters: u32, mut f: impl FnMut() -> R) -> Timing {
         min = min.min(dt);
     }
     Timing { name, iterations: iters, mean_ms: total / f64::from(iters), min_ms: min }
+}
+
+/// Times `a` and `b` over `iters` interleaved pairs (after one untimed
+/// warmup each), alternating which runs first, so that both sides see the
+/// same host state: back-to-back blocks can land in different CPU-frequency
+/// or noisy-neighbour modes and bias a ratio between them.
+fn time_interleaved<R, S>(
+    names: [&'static str; 2],
+    iters: u32,
+    mut a: impl FnMut() -> R,
+    mut b: impl FnMut() -> S,
+) -> (Timing, Timing) {
+    std::hint::black_box(a());
+    std::hint::black_box(b());
+    let mut total = [0.0f64; 2];
+    let mut min = [f64::INFINITY; 2];
+    for i in 0..iters {
+        let order = if i % 2 == 0 { [0, 1] } else { [1, 0] };
+        for side in order {
+            let t0 = Instant::now();
+            if side == 0 {
+                std::hint::black_box(a());
+            } else {
+                std::hint::black_box(b());
+            }
+            let dt = t0.elapsed().as_secs_f64() * 1e3;
+            total[side] += dt;
+            min[side] = min[side].min(dt);
+        }
+    }
+    let timing = |side: usize| Timing {
+        name: names[side],
+        iterations: iters,
+        mean_ms: total[side] / f64::from(iters),
+        min_ms: min[side],
+    };
+    (timing(0), timing(1))
 }
 
 /// A unique estimation request for the service probe: the duty-cycle
@@ -614,20 +654,23 @@ fn main() {
     // Transform-overhead gate: the no-protection path through the pipeline
     // (the default for every mttf/sofr run) must stay an Arc pass-through —
     // if it ever starts copying or re-deriving the trace, compilation cost
-    // is the first place it shows. Real transform application cost is
-    // recorded informationally alongside.
+    // is the first place it shows. The two sides run interleaved, so both
+    // minima come from the same host state. Real transform application cost
+    // is recorded informationally alongside.
     let fine_arc: std::sync::Arc<dyn VulnerabilityTrace> = std::sync::Arc::new(fine.clone());
     let no_protection = ProtectionSpec::none();
     // Both closures compile through the same `Arc<dyn ...>` the CLI hands
     // the estimators, so the ratio isolates the pipeline's own cost rather
     // than dynamic-vs-static dispatch inside compilation.
-    let t_compile_raw = time("transform/compile_raw_10k_segments", 100, || {
-        CompiledTrace::compile(&fine_arc).expect("fine trace compiles")
-    });
-    let t_compile_identity = time("transform/identity_pipeline_compile_10k_segments", 100, || {
-        let t = no_protection.apply(fine_arc.clone()).expect("identity pipeline applies");
-        CompiledTrace::compile(&t).expect("fine trace compiles through identity")
-    });
+    let (t_compile_raw, t_compile_identity) = time_interleaved(
+        ["transform/compile_raw_10k_segments", "transform/identity_pipeline_compile_10k_segments"],
+        100,
+        || CompiledTrace::compile(&fine_arc).expect("fine trace compiles"),
+        || {
+            let t = no_protection.apply(fine_arc.clone()).expect("identity pipeline applies");
+            CompiledTrace::compile(&t).expect("fine trace compiles through identity")
+        },
+    );
     let scrub_ecc = ProtectionSpec::parse("scrub:100,ecc:64").expect("probe pipeline parses");
     let t_apply = time("transform/scrub_ecc_apply_10k_segments", 25, || {
         scrub_ecc.apply(fine_arc.clone()).expect("scrub+ecc applies to the fine trace")
@@ -743,6 +786,42 @@ fn main() {
     timings.push(t_sweep_per_point);
     timings.push(t_sweep_kernel);
 
+    // Simulator row (schema v11): `Simulator::run` alone over a
+    // pre-generated instruction stream, for dispatch-bound gzip and
+    // stall-heavy mcf at the CLI's 300k instructions. Simulated cycles are
+    // a property of the model and must not move with a speed-up; Minst/s
+    // and host ns per simulated cycle are the layer's speed. Informational
+    // only: no trajectory exists yet to calibrate a gate on.
+    let sim_instructions = 300_000u64;
+    let mut sim_rows = Vec::new();
+    for (program, name) in [("gzip", "sim/gzip_300k"), ("mcf", "sim/mcf_300k")] {
+        let profile = BenchmarkProfile::by_name(program).expect("known benchmark");
+        let stream: Vec<Instruction> = TraceGenerator::new(profile, 7)
+            .take(usize::try_from(sim_instructions).expect("fits usize"))
+            .collect();
+        let simulator = Simulator::new(SimConfig::power4());
+        let run = || simulator.run(stream.iter().copied(), sim_instructions).expect("simulates");
+        let cycles = run().stats.cycles;
+        let t = time(name, 3, run);
+        let minst_per_s = sim_instructions as f64 / (t.min_ms * 1e3);
+        let ns_per_cycle = t.min_ms * 1e6 / cycles as f64;
+        println!(
+            "simulator: {program} {sim_instructions} instructions, {cycles} cycles in \
+             {:.1} ms -> {minst_per_s:.2} Minst/s, {ns_per_cycle:.1} host ns/cycle",
+            t.min_ms
+        );
+        sim_rows.push(format!(
+            "    {{\"program\": \"{program}\", \"cycles\": {cycles}, \"min_ms\": {:.3}, \
+             \"minst_per_s\": {minst_per_s:.3}, \"ns_per_cycle\": {ns_per_cycle:.1}}}",
+            t.min_ms
+        ));
+        timings.push(t);
+    }
+    let simulator_json = format!(
+        "  \"simulator\": {{\"instructions\": {sim_instructions}, \"seed\": 7, \"programs\": [\n{}\n  ]}},",
+        sim_rows.join(",\n")
+    );
+
     let entries: Vec<String> = timings
         .iter()
         .map(|t| {
@@ -753,9 +832,10 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"schema\": 10,\n  \"suite\": \"engines-smoke\",\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n  \"timings\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\": 11,\n  \"suite\": \"engines-smoke\",\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n  \"timings\": [\n{}\n  ]\n}}\n",
         sampler_json,
         sweep_kernel_json,
+        simulator_json,
         checkpoint_json,
         chaos_json,
         service_json,

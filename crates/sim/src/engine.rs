@@ -1,6 +1,31 @@
-//! The cycle-driven out-of-order pipeline.
+//! The out-of-order pipeline, cycle-accurate but event-driven.
+//!
+//! Each simulated cycle runs writeback, retire, issue, dispatch and fetch in
+//! that order. Only active cycles are executed:
+//!
+//! * **Writeback** pops the issued ops whose `done_at` has come from a
+//!   min-heap instead of scanning the ROB.
+//! * **Issue** walks only the entries whose sources are all produced,
+//!   oldest first (FU, load/store and branch slots are first-come). A
+//!   producer's writeback wakes its consumers; an entry with a pending
+//!   source is never looked at.
+//! * **Idle stretches are skipped.** In a cycle that makes no progress
+//!   (nothing writes back, retires, issues, dispatches or is fetched), no
+//!   state changes except the stall counter: the cache, TLB, predictor,
+//!   rename and ROB state are untouched (the MSHR probe is side-effect
+//!   free). What happens next then depends on `now` only through three
+//!   deadlines — the earliest pending `done_at`, an integer divider's
+//!   `busy_until`, and the I-cache stall — so every cycle before the
+//!   earliest of them repeats the idle one exactly. The loop jumps there
+//!   and adds the skipped cycles to `dispatch_stall_cycles` when work
+//!   remained. The jump never passes the progress watchdog's cycle, so a
+//!   true deadlock reports the same cycle as a cycle-by-cycle walk.
+//!
+//! The statistics and the four masking traces are bit-identical to
+//! stepping every cycle; `crates/sim/tests/golden_output.rs` pins them.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use serr_types::SerrError;
 use serr_workload::{Instruction, OpClass, RegId};
@@ -56,13 +81,6 @@ pub struct SimOutput {
     pub traces: ProcessorMaskingTraces,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum EntryState {
-    Waiting,
-    Executing,
-    Done,
-}
-
 #[derive(Debug)]
 struct Entry {
     op: OpClass,
@@ -70,9 +88,10 @@ struct Entry {
     dst: Option<PhysReg>,
     prev_dst: Option<PhysReg>,
     mem_addr: Option<u64>,
-    index: u64,
-    state: EntryState,
-    done_at: u64,
+    /// Sources not yet produced; the entry can issue once this is zero.
+    pending: u8,
+    /// Written back; retires once it reaches the ROB head.
+    done: bool,
     /// Holds an MSHR until writeback (the access missed the L1D).
     holds_mshr: bool,
 }
@@ -109,8 +128,9 @@ impl Simulator {
     ///
     /// Returns [`SerrError::InvalidConfig`] for a zero instruction budget,
     /// [`SerrError::InvalidTrace`] if the workload iterator ends early, and
-    /// [`SerrError::NoConvergence`] if the pipeline stops making progress
-    /// (a bug guard; should not occur).
+    /// [`SerrError::NoConvergence`] if the pipeline makes no progress for
+    /// 200k cycles (a deadlock guard; a configured latency that long trips
+    /// it too).
     pub fn run(
         &self,
         workload: impl IntoIterator<Item = Instruction>,
@@ -135,19 +155,15 @@ impl Simulator {
             cfg.regfile_entries,
         );
 
-        let mut ready_int = vec![false; cfg.int_phys_regs];
-        let mut ready_fp = vec![false; cfg.fp_phys_regs];
+        // Per physical register (integer bank first, then FP): whether its
+        // value is produced, and the unissued entries waiting for it.
+        let reg = |p: PhysReg| p.idx as usize + if p.fp { cfg.int_phys_regs } else { 0 };
+        let mut ready = vec![false; cfg.int_phys_regs + cfg.fp_phys_regs];
         for i in 0..RegId::BANK_SIZE as usize {
-            ready_int[i] = true;
-            ready_fp[i] = true;
+            ready[i] = true;
+            ready[cfg.int_phys_regs + i] = true;
         }
-        let ready = |ri: &[bool], rf: &[bool], p: PhysReg| {
-            if p.fp {
-                rf[p.idx as usize]
-            } else {
-                ri[p.idx as usize]
-            }
-        };
+        let mut consumers: Vec<Vec<u64>> = vec![Vec::new(); ready.len()];
 
         // Per-FU bookkeeping: blocking ops hold `busy_until`; every FU
         // accepts at most one new op per cycle.
@@ -159,7 +175,14 @@ impl Simulator {
         let mut fp_taken = vec![false; cfg.fp_units];
 
         let mut outstanding_misses = 0usize;
+        // The ROB holds consecutive instruction indices (the trace-driven
+        // front end never squashes), so index `i` sits at `i - retired`.
         let mut rob: VecDeque<Entry> = VecDeque::with_capacity(cfg.rob_size);
+        // Issued ops by `(done_at, index)`: writeback pops the due ones.
+        let mut completions: BinaryHeap<Reverse<(u64, u64)>> =
+            BinaryHeap::with_capacity(cfg.rob_size);
+        // Unissued entries whose sources are all produced, oldest first.
+        let mut issuable: Vec<u64> = Vec::with_capacity(cfg.rob_size);
         let mut fetch_buffer: VecDeque<(Instruction, u64)> =
             VecDeque::with_capacity(2 * cfg.fetch_width);
         let mut mem_in_flight = 0usize;
@@ -185,25 +208,38 @@ impl Simulator {
             let mut progressed = false;
 
             // ---- Writeback: complete executing ops. -----------------------
-            for e in rob.iter_mut() {
-                if e.state == EntryState::Executing && e.done_at <= now {
-                    e.state = EntryState::Done;
-                    if e.holds_mshr {
-                        e.holds_mshr = false;
-                        outstanding_misses -= 1;
+            // Completions within one cycle commute: each in-flight producer
+            // owns a distinct physical register (its register is freed only
+            // after a younger writer of the same architectural register
+            // retires), so heap order may differ from ROB order.
+            while let Some(&Reverse((done_at, index))) = completions.peek() {
+                if done_at > now {
+                    break;
+                }
+                completions.pop();
+                let e = &mut rob[(index - retired) as usize];
+                e.done = true;
+                if e.holds_mshr {
+                    e.holds_mshr = false;
+                    outstanding_misses -= 1;
+                }
+                let dst = e.dst;
+                if redirect_on == Some(index) {
+                    redirect_on = None; // fetch resumes next cycle
+                }
+                progressed = true;
+                let Some(d) = dst else { continue };
+                ready[reg(d)] = true;
+                rename.record_write(d, now);
+                // Wake the consumers; the ones left with no pending source
+                // join the issuable list in age order.
+                for c in consumers[reg(d)].drain(..) {
+                    let e = &mut rob[(c - retired) as usize];
+                    e.pending -= 1;
+                    if e.pending == 0 {
+                        let at = issuable.partition_point(|&i| i < c);
+                        issuable.insert(at, c);
                     }
-                    if let Some(d) = e.dst {
-                        if d.fp {
-                            ready_fp[d.idx as usize] = true;
-                        } else {
-                            ready_int[d.idx as usize] = true;
-                        }
-                        rename.record_write(d, now);
-                    }
-                    if redirect_on == Some(e.index) {
-                        redirect_on = None; // fetch resumes next cycle
-                    }
-                    progressed = true;
                 }
             }
 
@@ -211,7 +247,7 @@ impl Simulator {
             let mut retired_now = 0usize;
             while retired_now < cfg.retire_width {
                 match rob.front() {
-                    Some(e) if e.state == EntryState::Done => {
+                    Some(e) if e.done => {
                         let e = rob.pop_front().expect("front exists");
                         if let Some(prev) = e.prev_dst {
                             rename.release(prev);
@@ -228,19 +264,14 @@ impl Simulator {
             }
 
             // ---- Issue: out-of-order from the ROB. ------------------------
+            // Oldest first: FU, load/store and branch slots are first-come.
             int_taken.iter_mut().for_each(|t| *t = false);
             fp_taken.iter_mut().for_each(|t| *t = false);
             ls_taken = 0usize;
             br_taken = 0usize;
-            for e in rob.iter_mut() {
-                if e.state != EntryState::Waiting {
-                    continue;
-                }
-                let deps_ready = e.srcs.iter().flatten().all(|&p| ready(&ready_int, &ready_fp, p));
-                if !deps_ready {
-                    continue;
-                }
-                let issued = match e.op {
+            issuable.retain(|&index| {
+                let e = &mut rob[(index - retired) as usize];
+                let done_at = match e.op {
                     OpClass::IntAlu | OpClass::IntMul | OpClass::IntDiv => {
                         let latency = match e.op {
                             OpClass::IntAlu => cfg.int_alu_latency,
@@ -256,10 +287,9 @@ impl Simulator {
                                 int_busy_until[f] = now + latency;
                             }
                             collector.mark_int(f, now, now + latency);
-                            e.done_at = now + latency;
-                            true
+                            Some(now + latency)
                         } else {
-                            false
+                            None
                         }
                     }
                     OpClass::FpOp | OpClass::FpDiv => {
@@ -273,18 +303,17 @@ impl Simulator {
                         if let Some(f) = slot {
                             fp_taken[f] = true;
                             collector.mark_fp(f, now, now + latency);
-                            e.done_at = now + latency;
-                            true
+                            Some(now + latency)
                         } else {
-                            false
+                            None
                         }
                     }
                     OpClass::Load | OpClass::Store => {
                         let addr = e.mem_addr.expect("memory op has an address");
                         // MSHR gate: a miss may only start if a miss
                         // register is free (probe is side-effect free).
-                        let will_miss = !l1d.probe(addr);
-                        if ls_taken < cfg.ls_units && (!will_miss || outstanding_misses < cfg.mshrs)
+                        if ls_taken < cfg.ls_units
+                            && (outstanding_misses < cfg.mshrs || l1d.probe(addr))
                         {
                             ls_taken += 1;
                             let tlb_pen = if dtlb.access(addr) { 0 } else { cfg.tlb_miss_penalty };
@@ -314,30 +343,28 @@ impl Simulator {
                                 e.holds_mshr = true;
                                 outstanding_misses += 1;
                             }
-                            e.done_at = now + 1 + access + tlb_pen;
-                            true
+                            Some(now + 1 + access + tlb_pen)
                         } else {
-                            false
+                            None
                         }
                     }
                     OpClass::Branch => {
                         if br_taken < cfg.branch_units {
                             br_taken += 1;
-                            e.done_at = now + cfg.branch_latency;
-                            true
+                            Some(now + cfg.branch_latency)
                         } else {
-                            false
+                            None
                         }
                     }
                 };
-                if issued {
-                    e.state = EntryState::Executing;
-                    for &src in e.srcs.iter().flatten() {
-                        rename.record_read(src, now);
-                    }
-                    progressed = true;
+                let Some(done_at) = done_at else { return true };
+                for &src in e.srcs.iter().flatten() {
+                    rename.record_read(src, now);
                 }
-            }
+                completions.push(Reverse((done_at, index)));
+                progressed = true;
+                false
+            });
 
             // ---- Dispatch: in-order into the ROB. -------------------------
             let mut dispatched = 0usize;
@@ -359,11 +386,7 @@ impl Simulator {
                 let (dst, prev_dst) = match inst.dst {
                     Some(d) => {
                         let (new, prev) = rename.rename(d);
-                        if new.fp {
-                            ready_fp[new.idx as usize] = false;
-                        } else {
-                            ready_int[new.idx as usize] = false;
-                        }
+                        ready[reg(new)] = false;
                         (Some(new), Some(prev))
                     }
                     None => (None, None),
@@ -371,15 +394,24 @@ impl Simulator {
                 if inst.op.is_memory() {
                     mem_in_flight += 1;
                 }
+                let mut pending = 0u8;
+                for &src in srcs.iter().flatten() {
+                    if !ready[reg(src)] {
+                        consumers[reg(src)].push(index);
+                        pending += 1;
+                    }
+                }
+                if pending == 0 {
+                    issuable.push(index);
+                }
                 rob.push_back(Entry {
                     op: inst.op,
                     srcs,
                     dst,
                     prev_dst,
                     mem_addr: inst.mem_addr,
-                    index,
-                    state: EntryState::Waiting,
-                    done_at: 0,
+                    pending,
+                    done: false,
                     holds_mshr: false,
                 });
                 dispatched += 1;
@@ -464,18 +496,39 @@ impl Simulator {
 
             if progressed {
                 last_progress = now;
-            } else if now - last_progress > watchdog {
-                return Err(SerrError::NoConvergence {
-                    what: format!(
-                        "pipeline deadlock at cycle {now}: rob={}, buffer={}, fetched={fetched}, retired={retired}",
-                        rob.len(),
-                        fetch_buffer.len()
-                    ),
-                    after: watchdog as usize,
-                });
+                now += 1;
+            } else {
+                if now - last_progress > watchdog {
+                    return Err(SerrError::NoConvergence {
+                        what: format!(
+                            "pipeline deadlock at cycle {now}: rob={}, buffer={}, fetched={fetched}, retired={retired}",
+                            rob.len(),
+                            fetch_buffer.len()
+                        ),
+                        after: watchdog as usize,
+                    });
+                }
+                // Nothing changed this cycle, so every cycle up to the next
+                // timed event repeats it exactly: jump there, counting the
+                // skipped cycles as stalls when this one was. The watchdog
+                // cycle bounds the jump so a deadlock trips it unchanged.
+                let mut next = last_progress + watchdog + 1;
+                if let Some(&Reverse((done_at, _))) = completions.peek() {
+                    next = next.min(done_at);
+                }
+                for &busy in &int_busy_until {
+                    if busy > now {
+                        next = next.min(busy);
+                    }
+                }
+                if icache_stall_until > now {
+                    next = next.min(icache_stall_until);
+                }
+                if !fetch_buffer.is_empty() || !rob.is_empty() {
+                    dispatch_stalls += next - now - 1;
+                }
+                now = next;
             }
-
-            now += 1;
             if fetched >= instructions && rob.is_empty() && fetch_buffer.is_empty() {
                 break;
             }

@@ -20,6 +20,15 @@
 //! (an entry is vulnerable from the cycle its value is produced until its
 //! last read).
 //!
+//! The simulator is cycle-accurate but event-driven: a cycle in which
+//! nothing writes back, retires, issues, dispatches or is fetched changes no
+//! state but the stall counter, and the cycles after it can only differ once
+//! an op completes, a blocking divider frees up or an I-cache stall ends.
+//! [`Simulator::run`] therefore jumps straight to the earliest of those
+//! deadlines (never past the deadlock watchdog), and writeback and issue
+//! visit only the ops that are due or issuable. The output is bit-identical
+//! to stepping every cycle; the engine module docs give the argument.
+//!
 //! # Example
 //!
 //! ```

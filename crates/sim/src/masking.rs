@@ -9,7 +9,7 @@
 //! * **register file** — errors strike the 256 entries uniformly; an entry
 //!   is vulnerable while it holds a value that will still be read.
 
-use serr_trace::IntervalTrace;
+use serr_trace::{IntervalTrace, IntervalTraceBuilder};
 use serr_types::SerrError;
 
 /// The per-component masking traces produced by one simulation, each with
@@ -27,17 +27,20 @@ pub struct ProcessorMaskingTraces {
     pub regfile: IntervalTrace,
 }
 
-/// Accumulates per-cycle unit occupancy during simulation via difference
-/// arrays, then materializes run-length traces.
+/// Records unit occupancy as it happens — one entry per busy interval or
+/// dispatch group, never one per cycle — and compresses it into run-length
+/// traces at the end without materializing per-cycle levels. Only the
+/// register file's liveness goes through a per-cycle `i32` difference
+/// array in `finish`.
 #[derive(Debug)]
 pub struct MaskingCollector {
-    /// One diff array per functional-unit instance (occupancy counts).
-    int_fu_diff: Vec<Vec<i32>>,
-    fp_fu_diff: Vec<Vec<i32>>,
-    /// Instructions dispatched per cycle.
-    decode_count: Vec<u16>,
-    /// Register liveness diff (+1 at start, −1 after end).
-    rf_diff: Vec<i32>,
+    /// Busy intervals `[start, end)` per functional-unit instance.
+    int_fu_busy: Vec<Vec<(u64, u64)>>,
+    fp_fu_busy: Vec<Vec<(u64, u64)>>,
+    /// `(cycle, instructions)` per dispatch group.
+    decode: Vec<(u64, u16)>,
+    /// Register liveness intervals `[start, end)`.
+    rf_live: Vec<(u64, u64)>,
     dispatch_width: usize,
     regfile_entries: usize,
 }
@@ -52,50 +55,43 @@ impl MaskingCollector {
         regfile_entries: usize,
     ) -> Self {
         MaskingCollector {
-            int_fu_diff: vec![Vec::new(); int_units],
-            fp_fu_diff: vec![Vec::new(); fp_units],
-            decode_count: Vec::new(),
-            rf_diff: Vec::new(),
+            int_fu_busy: vec![Vec::new(); int_units],
+            fp_fu_busy: vec![Vec::new(); fp_units],
+            decode: Vec::new(),
+            rf_live: Vec::new(),
             dispatch_width,
             regfile_entries,
         }
     }
 
-    fn bump(diff: &mut Vec<i32>, start: u64, end: u64) {
-        let end = end.max(start + 1) as usize;
-        if diff.len() < end + 1 {
-            diff.resize(end + 1, 0);
-        }
-        diff[start as usize] += 1;
-        diff[end] -= 1;
+    /// An interval covers at least its first cycle.
+    fn interval(start: u64, end: u64) -> (u64, u64) {
+        (start, end.max(start + 1))
     }
 
     /// Marks integer FU `fu` busy over `[start, end)` cycles.
     pub fn mark_int(&mut self, fu: usize, start: u64, end: u64) {
-        Self::bump(&mut self.int_fu_diff[fu], start, end);
+        self.int_fu_busy[fu].push(Self::interval(start, end));
     }
 
     /// Marks FP FU `fu` busy over `[start, end)` cycles.
     pub fn mark_fp(&mut self, fu: usize, start: u64, end: u64) {
-        Self::bump(&mut self.fp_fu_diff[fu], start, end);
+        self.fp_fu_busy[fu].push(Self::interval(start, end));
     }
 
     /// Records `n` instructions dispatched (decoded) in `cycle`.
     pub fn mark_decode(&mut self, cycle: u64, n: usize) {
-        let c = cycle as usize;
-        if self.decode_count.len() <= c {
-            self.decode_count.resize(c + 1, 0);
-        }
-        self.decode_count[c] += n as u16;
+        self.decode.push((cycle, n as u16));
     }
 
     /// Records a register-file entry vulnerable over `[start, end]` cycles
     /// (inclusive, matching the liveness intervals of `RenameState`).
     pub fn mark_regfile(&mut self, start: u64, end: u64) {
-        Self::bump(&mut self.rf_diff, start, end + 1);
+        self.rf_live.push(Self::interval(start, end + 1));
     }
 
-    /// Materializes the four traces over `total_cycles` simulated cycles.
+    /// Materializes the four traces over `total_cycles` simulated cycles;
+    /// marks beyond the last cycle are clipped.
     ///
     /// # Errors
     ///
@@ -104,51 +100,91 @@ impl MaskingCollector {
         if total_cycles == 0 {
             return Err(SerrError::invalid_trace("simulation produced no cycles"));
         }
-        let n = total_cycles as usize;
-
         // A unit-kind's vulnerability: fraction of its FU instances with any
-        // occupancy in the cycle.
-        let fu_fraction = |fus: &[Vec<i32>]| -> Vec<f64> {
-            let mut frac = vec![0.0f64; n];
-            for diff in fus {
-                let mut occ = 0i64;
-                for (c, slot) in frac.iter_mut().enumerate() {
-                    occ += i64::from(diff.get(c).copied().unwrap_or(0));
-                    if occ > 0 {
-                        *slot += 1.0;
-                    }
+        // occupancy in the cycle. Overlapping (pipelined) intervals of one
+        // instance merge first, so each instance counts once.
+        let fu_fraction = |fus: Vec<Vec<(u64, u64)>>| {
+            let k = fus.len() as f64;
+            let mut events = Vec::new();
+            for mut busy in fus {
+                busy.sort_unstable();
+                let mut merged: Option<(u64, u64)> = None;
+                for (start, end) in busy {
+                    merged = match merged {
+                        Some((s, e)) if start <= e => Some((s, e.max(end))),
+                        Some((s, e)) => {
+                            events.extend([(s, 1), (e, -1)]);
+                            Some((start, end))
+                        }
+                        None => Some((start, end)),
+                    };
+                }
+                if let Some((s, e)) = merged {
+                    events.extend([(s, 1), (e, -1)]);
                 }
             }
-            let k = fus.len() as f64;
-            frac.iter_mut().for_each(|v| *v /= k);
-            frac
+            stream_runs(total_cycles, events, |busy| busy as f64 / k)
         };
-
-        let int_levels = fu_fraction(&self.int_fu_diff);
-        let fp_levels = fu_fraction(&self.fp_fu_diff);
-
-        let decode_levels: Vec<f64> = (0..n)
-            .map(|c| {
-                let d = self.decode_count.get(c).copied().unwrap_or(0) as f64;
-                (d / self.dispatch_width as f64).min(1.0)
-            })
-            .collect();
-
-        let mut live = 0i64;
-        let rf_levels: Vec<f64> = (0..n)
-            .map(|c| {
-                live += i64::from(self.rf_diff.get(c).copied().unwrap_or(0));
-                (live.max(0) as f64 / self.regfile_entries as f64).min(1.0)
-            })
-            .collect();
+        let width = self.dispatch_width as f64;
+        let decode_events =
+            self.decode.iter().flat_map(|&(c, n)| [(c, i64::from(n)), (c + 1, -i64::from(n))]);
+        let entries = self.regfile_entries as f64;
+        // Liveness intervals arrive in retire order, not start order: a
+        // difference array over the cycles orders them in one pass.
+        let mut rf_diff =
+            vec![0i32; usize::try_from(total_cycles).expect("cycle count fits usize")];
+        for (start, end) in self.rf_live {
+            for (cycle, delta) in [(start, 1), (end, -1)] {
+                if let Some(d) = rf_diff.get_mut(cycle as usize) {
+                    *d += delta;
+                }
+            }
+        }
+        let rf_events =
+            (0u64..).zip(rf_diff).filter(|&(_, d)| d != 0).map(|(c, d)| (c, i64::from(d)));
 
         Ok(ProcessorMaskingTraces {
-            int_unit: IntervalTrace::from_levels(&int_levels)?,
-            fp_unit: IntervalTrace::from_levels(&fp_levels)?,
-            decode: IntervalTrace::from_levels(&decode_levels)?,
-            regfile: IntervalTrace::from_levels(&rf_levels)?,
+            int_unit: fu_fraction(self.int_fu_busy)?,
+            fp_unit: fu_fraction(self.fp_fu_busy)?,
+            decode: stream_runs(total_cycles, decode_events.collect(), |d| {
+                (d as f64 / width).min(1.0)
+            })?,
+            regfile: stream_runs(total_cycles, rf_events.collect(), |live| {
+                (live.max(0) as f64 / entries).min(1.0)
+            })?,
         })
     }
+}
+
+/// Run-length compresses cycles `0..n` from `(cycle, delta)` events: a
+/// cycle's key is the sum of the deltas at or before it, and
+/// `level` maps the key to the cycle's vulnerability. One run is pushed per
+/// change of key, and the builder merges equal neighbouring levels exactly
+/// as [`IntervalTrace::from_levels`] does, so the result is the trace of the
+/// per-cycle levels without ever materializing them.
+fn stream_runs(
+    n: u64,
+    mut events: Vec<(u64, i64)>,
+    level: impl Fn(i64) -> f64,
+) -> Result<IntervalTrace, SerrError> {
+    // A stable sort finds the presorted runs callers hand in (one per FU
+    // instance, the dispatch groups, the difference array) and merges them
+    // in linear time.
+    events.sort_by_key(|&(cycle, _)| cycle);
+    let mut builder = IntervalTraceBuilder::new();
+    let (mut start, mut key) = (0u64, 0i64);
+    for (cycle, delta) in events {
+        if cycle >= n {
+            break;
+        }
+        if cycle > start {
+            builder.push_cycles(cycle - start, level(key))?;
+            start = cycle;
+        }
+        key += delta;
+    }
+    builder.push_cycles(n - start, level(key))?;
+    builder.finish()
 }
 
 #[cfg(test)]
@@ -219,5 +255,51 @@ mod tests {
         let traces = mc.finish(5).unwrap();
         assert_eq!(traces.int_unit.period_cycles(), 5);
         assert_eq!(traces.int_unit.vulnerability_at(4), 1.0);
+    }
+
+    #[test]
+    fn mark_order_does_not_matter() {
+        // (unit, instance, start or cycle, end or count)
+        let marks = [
+            ("int", 0, 1, 4),
+            ("int", 0, 3, 9),
+            ("int", 1, 2, 3),
+            ("fp", 1, 0, 0),
+            ("decode", 0, 2, 3),
+            ("decode", 0, 2, 1),
+            ("decode", 0, 4, 5),
+            ("rf", 0, 1, 6),
+            ("rf", 0, 0, 2),
+        ];
+        let collect = |reversed: bool| {
+            let mut mc = MaskingCollector::new(2, 2, 5, 256);
+            let mut order: Vec<_> = marks.iter().collect();
+            if reversed {
+                order.reverse();
+            }
+            for &(unit, fu, a, b) in order {
+                match unit {
+                    "int" => mc.mark_int(fu, a, b),
+                    "fp" => mc.mark_fp(fu, a, b),
+                    "decode" => mc.mark_decode(a, b as usize),
+                    _ => mc.mark_regfile(a, b),
+                }
+            }
+            mc.finish(8).unwrap()
+        };
+        let (fwd, rev) = (collect(false), collect(true));
+        assert_eq!(fwd.int_unit, rev.int_unit);
+        assert_eq!(fwd.fp_unit, rev.fp_unit);
+        assert_eq!(fwd.decode, rev.decode);
+        assert_eq!(fwd.regfile, rev.regfile);
+        // FU0's two overlapping ops count once; FU1 adds cycle 2.
+        let int: Vec<f64> = (0..8).map(|c| fwd.int_unit.vulnerability_at(c)).collect();
+        assert_eq!(int, [0.0, 0.5, 1.0, 0.5, 0.5, 0.5, 0.5, 0.5]);
+        // A zero-length op still occupies its issue cycle.
+        assert_eq!(fwd.fp_unit.vulnerability_at(0), 0.5);
+        // Two groups in one cycle add up.
+        assert_eq!(fwd.decode.vulnerability_at(2), 0.8);
+        assert_eq!(fwd.regfile.vulnerability_at(1), 2.0 / 256.0);
+        assert_eq!(fwd.regfile.vulnerability_at(3), 1.0 / 256.0);
     }
 }

@@ -41,19 +41,22 @@ RUSTFLAGS="-C debug-assertions" cargo test -q --release -p serr-inject -p serr-m
 # binary exits nonzero on any silently-wrong result).
 cargo run --release -p serr-bench --bin chaos_campaign -- --campaigns 30 --seed 7 --trials 3000
 
-# Perf smoke: regenerates BENCH_engines.json (schema v10, carrying a
+# Perf smoke: regenerates BENCH_engines.json (schema v11, carrying a
 # `storage` section — binary-vs-JSONL journal resume time and mmap-vs-read
 # cache load time — a `models` section: the AVF+SOFR-vs-MC comparison
-# under the ECC/scrub/delay protection transforms — and a `sweep_kernel`
-# section: the 32-point shared-stream duel) and asserts five perf
-# contracts — the Λ-inversion sampler stays >=10x faster than the
-# event-loop walk, the batched inversion sampler stays >=5x faster than the
-# scalar one, the binary journal resume stays >=5x faster than the JSONL
-# parse it replaced on a dense-trace workload, the no-protection
-# transform path adds <=5% to trace compilation, and the shared-stream
-# sweep kernel stays >=3x faster than independent per-point runs while
-# staying bit-identical to them at 1 and 8 threads — the binary aborts if
-# any contract regresses.
+# under the ECC/scrub/delay protection transforms — a `sweep_kernel`
+# section: the 32-point shared-stream duel — and a `simulator` section:
+# cycles, Minst/s and host ns per simulated cycle of `Simulator::run` on
+# gzip and mcf at 300k instructions, informational with no gate) and
+# asserts five perf contracts — the Λ-inversion sampler stays >=10x faster
+# than the event-loop walk, the batched inversion sampler stays >=5x
+# faster than the scalar one, the binary journal resume stays >=5x faster
+# than the JSONL parse it replaced on a dense-trace workload, the
+# no-protection transform path adds <=5% to trace compilation (min of 100
+# compiles per side, the two sides interleaved so both see the same host
+# state), and the shared-stream sweep kernel stays >=3x faster than
+# independent per-point runs while staying bit-identical to them at 1 and
+# 8 threads — the binary aborts if any contract regresses.
 cargo run --release -p serr-bench --bin bench_smoke -- target/bench-smoke.json
 
 # Protection smoke: every transform in the --protect algebra is AVF-
