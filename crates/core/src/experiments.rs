@@ -7,7 +7,7 @@ use std::sync::Arc;
 use serr_mc::batched::BATCHED_RNG_SCHEDULE_VERSION;
 use serr_mc::{MonteCarlo, MonteCarloConfig, MttfEstimate};
 use serr_obs::Obs;
-use serr_trace::{ConcatTrace, VulnerabilityTrace};
+use serr_trace::{CompiledTrace, ConcatTrace, VulnerabilityTrace};
 use serr_types::{Frequency, RawErrorRate, Seconds, SerrError};
 use serr_workload::synthesized;
 
@@ -133,27 +133,36 @@ fn sweep_fingerprint(kind: &str, cfg: &ExperimentConfig, coords: &[String]) -> u
     checkpoint::fingerprint(&parts)
 }
 
+/// One design point as a grouped sweep's `prepare` leaves it for `eval`:
+/// its Monte Carlo estimate and its trace group's compiled table, which
+/// the point's analytic estimators share (`None` when the trace does not
+/// compile).
+struct PreparedPoint {
+    estimate: Result<MttfEstimate, SerrError>,
+    compiled: Option<Arc<CompiledTrace>>,
+}
+
 /// Runs the shared-stream Monte Carlo kernel
-/// ([`MonteCarlo::component_mttf_multi`]) over the still-pending design
+/// ([`MonteCarlo::compiled_mttf_multi`]) over the still-pending design
 /// points of a sweep, one kernel invocation per distinct trace.
 ///
 /// Groups form by `Arc` identity: every point built on the same shared
 /// trace — a workload's, or one protection transform of it — lands in one
-/// group whose trace is compiled once and whose RNG/log passes are paid
-/// once per chunk for all of its rates (the Fig 6 c-axis rides along
-/// because `c` identical components superpose to a `c·λ` rate over the
-/// same trace). Returns each point's ground-truth estimate indexed by
-/// point position: `None` for points the journal already restored,
-/// `Some(Err)` when the point — or its whole group — failed, so a
-/// corrupted shared trace degrades every dependent point rather than any
-/// of them reporting clean.
+/// group whose trace is compiled once (for the kernel and every point's
+/// analytic estimators) and whose RNG/log passes are paid once per chunk
+/// for all of its rates (the Fig 6 c-axis rides along because `c`
+/// identical components superpose to a `c·λ` rate over the same trace).
+/// Returns each point indexed by position: `None` for points the journal
+/// already restored, an `Err` estimate when the point — or its whole
+/// group — failed, so a corrupted shared trace degrades every dependent
+/// point rather than any of them reporting clean.
 fn shared_mc_estimates(
     cfg: &ExperimentConfig,
     obs: Option<&Obs>,
     traces: &[Arc<dyn VulnerabilityTrace>],
     rates: &[RawErrorRate],
     pending: &[usize],
-) -> Vec<Option<Result<MttfEstimate, SerrError>>> {
+) -> Vec<Option<PreparedPoint>> {
     let mut mc = MonteCarlo::new(cfg.mc);
     if let Some(o) = obs {
         mc = mc.with_observer(o.clone());
@@ -165,37 +174,36 @@ fn shared_mc_estimates(
             None => groups.push((traces[i].clone(), vec![i])),
         }
     }
-    let mut out: Vec<Option<Result<MttfEstimate, SerrError>>> = Vec::with_capacity(traces.len());
+    let mut out: Vec<Option<PreparedPoint>> = Vec::with_capacity(traces.len());
     out.resize_with(traces.len(), || None);
     for (trace, members) in groups {
         let group_rates: Vec<RawErrorRate> = members.iter().map(|&i| rates[i]).collect();
-        match mc.component_mttf_multi(&*trace, &group_rates, cfg.frequency) {
-            Ok(results) => {
-                for (&i, res) in members.iter().zip(results) {
-                    out[i] = Some(res);
-                }
-            }
-            // A group-level fault (bad shared trace, exhausted deadline,
-            // engine fault in a shared chunk) fails every dependent point.
-            Err(e) => {
-                for &i in &members {
-                    out[i] = Some(Err(e.clone()));
-                }
-            }
+        let compiled = mc.compile(&*trace).map(Arc::new);
+        let run = match &compiled {
+            Some(c) => mc.compiled_mttf_multi(c, &group_rates, cfg.frequency),
+            None => mc.component_mttf_multi(&*trace, &group_rates, cfg.frequency),
+        };
+        // A group-level fault (bad shared trace, exhausted deadline,
+        // engine fault in a shared chunk) fails every dependent point.
+        let estimates = match run {
+            Ok(results) => results,
+            Err(e) => members.iter().map(|_| Err(e.clone())).collect(),
+        };
+        for (&i, estimate) in members.iter().zip(estimates) {
+            out[i] = Some(PreparedPoint { estimate, compiled: compiled.clone() });
         }
     }
     out
 }
 
-/// Pulls one design point's estimate out of [`shared_mc_estimates`]'s
-/// output inside a sweep's `eval`.
-fn prepared_estimate(
-    prepared: &[Option<Result<MttfEstimate, SerrError>>],
+/// Pulls one design point's estimate and compiled trace out of
+/// [`shared_mc_estimates`]'s output inside a sweep's `eval`.
+fn prepared_point(
+    prepared: &[Option<PreparedPoint>],
     i: usize,
-) -> Result<MttfEstimate, SerrError> {
+) -> Result<(MttfEstimate, Option<&CompiledTrace>), SerrError> {
     match prepared.get(i).and_then(Option::as_ref) {
-        Some(Ok(est)) => Ok(*est),
-        Some(Err(e)) => Err(e.clone()),
+        Some(p) => p.estimate.clone().map(|est| (est, p.compiled.as_deref())),
         // Unreachable by construction: `prepare` covers every pending
         // index and `eval` only runs on pending points.
         None => Err(SerrError::invalid_config(
@@ -530,7 +538,8 @@ pub fn fig5_sweep(
         opts,
         |pending| shared_mc_estimates(cfg, opts.obs.as_ref(), &traces, &rates, pending),
         |i, (w, trace, prod), prepared| {
-            let cv = v.component_with_mc(trace, rates[i], prepared_estimate(prepared, i)?)?;
+            let (est, compiled) = prepared_point(prepared, i)?;
+            let cv = v.component_with_mc(&**trace, compiled, rates[i], est)?;
             Ok(Fig5Row {
                 workload: w.label().to_owned(),
                 n_times_s: *prod,
@@ -733,8 +742,8 @@ fn fig6_rows_sweep(
             if *c == 0 {
                 return Err(SerrError::invalid_config("system must have at least one component"));
             }
-            let est = prepared_estimate(prepared, i)?;
-            let sv = v.system_identical_with_mc(&**trace, component_rates[i], *c, est)?;
+            let (est, compiled) = prepared_point(prepared, i)?;
+            let sv = v.system_identical_with_mc(&**trace, compiled, component_rates[i], *c, est)?;
             Ok(Fig6Row {
                 workload: label.clone(),
                 c: *c,
@@ -853,8 +862,8 @@ pub fn sec5_4_sweep(
             if *c == 0 {
                 return Err(SerrError::invalid_config("system must have at least one component"));
             }
-            let est = prepared_estimate(prepared, i)?;
-            let sv = v.system_identical_with_mc(&**trace, component_rates[i], *c, est)?;
+            let (est, compiled) = prepared_point(prepared, i)?;
+            let sv = v.system_identical_with_mc(&**trace, compiled, component_rates[i], *c, est)?;
             Ok(Sec54Row {
                 workload: label.clone(),
                 c: *c,

@@ -9,6 +9,14 @@
 //!   noise;
 //! * **SoftArch** — the alternative first-principles estimator of
 //!   Section 5.4.
+//!
+//! Each trace is compiled once per row, and the one [`CompiledTrace`] feeds
+//! Monte Carlo, renewal and SoftArch. AVF (and the AVF-step MTTF) stays on
+//! the source trace: a composite's AVF is a weighted mean of its parts'
+//! AVFs, which differs from the compiled table's `total / period` in the
+//! last bits. Renewal and SoftArch read the compiled table only when it
+//! gives them the source's own bits ([`CompiledTrace::folds_like`]), so
+//! every row is bit-identical to running each estimator on the source.
 
 use std::sync::Arc;
 
@@ -16,7 +24,7 @@ use serr_mc::system::SystemModel;
 use serr_mc::{MonteCarlo, MonteCarloConfig, MttfEstimate};
 use serr_obs::Obs;
 use serr_softarch::SoftArch;
-use serr_trace::VulnerabilityTrace;
+use serr_trace::{CompiledTrace, VulnerabilityTrace};
 use serr_types::{relative_error, Frequency, Mttf, RawErrorRate, SerrError};
 
 use crate::{avf, par, sofr};
@@ -118,17 +126,39 @@ impl Validator {
         trace: &dyn VulnerabilityTrace,
         rate: RawErrorRate,
     ) -> Result<ComponentValidation, SerrError> {
-        let mttf_mc = self.mc.component_mttf(trace, rate, self.frequency)?;
-        self.component_with_mc(trace, rate, mttf_mc)
+        let compiled = self.mc.compile(trace);
+        self.component_on(trace, compiled.as_ref(), rate)
     }
 
-    /// [`Validator::component`] with the Monte Carlo ground truth already
-    /// in hand — the entry point for grouped sweeps, where one
-    /// shared-stream kernel run (`MonteCarlo::component_mttf_multi`)
-    /// produces every point's `mttf_mc` and only the cheap analytic
-    /// estimators remain per point. Passing the estimate an independent
-    /// run would produce yields a row bit-identical to
-    /// [`Validator::component`].
+    /// [`Validator::component`] on a trace compiled by the caller
+    /// (`None` when it does not compile): the entry for callers that keep
+    /// compiled traces, like the service's trace cache. `compiled` must
+    /// be `CompiledTrace::compile(trace)`; the row is then bit-identical
+    /// to [`Validator::component`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`Validator::component`].
+    pub fn component_on(
+        &self,
+        trace: &dyn VulnerabilityTrace,
+        compiled: Option<&CompiledTrace>,
+        rate: RawErrorRate,
+    ) -> Result<ComponentValidation, SerrError> {
+        let mttf_mc = match compiled {
+            Some(c) => self.mc.compiled_mttf(c, rate, self.frequency)?,
+            None => self.mc.component_mttf(trace, rate, self.frequency)?,
+        };
+        self.component_with_mc(trace, compiled, rate, mttf_mc)
+    }
+
+    /// [`Validator::component_on`] with the Monte Carlo ground truth
+    /// already in hand — the entry point for grouped sweeps, where one
+    /// shared-stream kernel run (`MonteCarlo::compiled_mttf_multi`)
+    /// produces every point's `mttf_mc` on the group's compiled trace and
+    /// only the cheap analytic estimators remain per point. Passing the
+    /// estimate an independent run would produce yields a row
+    /// bit-identical to [`Validator::component`].
     ///
     /// # Errors
     ///
@@ -136,15 +166,17 @@ impl Validator {
     pub fn component_with_mc(
         &self,
         trace: &dyn VulnerabilityTrace,
+        compiled: Option<&CompiledTrace>,
         rate: RawErrorRate,
         mttf_mc: MttfEstimate,
     ) -> Result<ComponentValidation, SerrError> {
+        let analytic = analytic_trace(trace, compiled);
         let mttf_avf = avf::avf_step_mttf(trace, rate)?;
         let mttf_renewal = self.timed("renewal_quadrature", || {
-            serr_analytic::renewal::renewal_mttf(trace, rate, self.frequency)
+            serr_analytic::renewal::renewal_mttf(analytic, rate, self.frequency)
         })?;
-        let mttf_softarch =
-            self.timed("softarch", || SoftArch::new(self.frequency).component_mttf(trace, rate))?;
+        let mttf_softarch = self
+            .timed("softarch", || SoftArch::new(self.frequency).component_mttf(analytic, rate))?;
         Ok(ComponentValidation {
             avf: trace.avf(),
             mttf_avf,
@@ -207,17 +239,37 @@ impl Validator {
         component_rate: RawErrorRate,
         c: u64,
     ) -> Result<SystemValidation, SerrError> {
-        if c == 0 {
-            return Err(SerrError::invalid_config("system must have at least one component"));
-        }
+        check_components(c)?;
+        let compiled = self.mc.compile(&*trace);
+        self.system_identical_on(&*trace, compiled.as_ref(), component_rate, c)
+    }
+
+    /// [`Validator::system_identical`] on a trace compiled by the caller
+    /// (`None` when it does not compile); bit-identical to it when
+    /// `compiled` is `CompiledTrace::compile(trace)`.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Validator::system_identical`].
+    pub fn system_identical_on(
+        &self,
+        trace: &dyn VulnerabilityTrace,
+        compiled: Option<&CompiledTrace>,
+        component_rate: RawErrorRate,
+        c: u64,
+    ) -> Result<SystemValidation, SerrError> {
+        check_components(c)?;
         // Ground truth: identical phase-aligned components superpose into a
         // single process with C x the rate over the same trace.
         let system_rate = component_rate.scale(c as f64);
-        let mttf_mc = self.mc.component_mttf(&trace, system_rate, self.frequency)?;
-        self.system_identical_with_mc(&*trace, component_rate, c, mttf_mc)
+        let mttf_mc = match compiled {
+            Some(ct) => self.mc.compiled_mttf(ct, system_rate, self.frequency)?,
+            None => self.mc.component_mttf(trace, system_rate, self.frequency)?,
+        };
+        self.system_identical_with_mc(trace, compiled, component_rate, c, mttf_mc)
     }
 
-    /// [`Validator::system_identical`] with the Monte Carlo ground truth
+    /// [`Validator::system_identical_on`] with the Monte Carlo ground truth
     /// already in hand.
     ///
     /// Because c identical phase-aligned components superpose into one
@@ -234,26 +286,26 @@ impl Validator {
     pub fn system_identical_with_mc(
         &self,
         trace: &dyn VulnerabilityTrace,
+        compiled: Option<&CompiledTrace>,
         component_rate: RawErrorRate,
         c: u64,
         mttf_mc: MttfEstimate,
     ) -> Result<SystemValidation, SerrError> {
-        if c == 0 {
-            return Err(SerrError::invalid_config("system must have at least one component"));
-        }
+        check_components(c)?;
+        let analytic = analytic_trace(trace, compiled);
         // SOFR: component MTTF from the exact first-principles method,
         // divided by C (Equations 2-3 for identical components).
         let component_mttf = self.timed("renewal_quadrature", || {
-            serr_analytic::renewal::renewal_mttf(&trace, component_rate, self.frequency)
+            serr_analytic::renewal::renewal_mttf(analytic, component_rate, self.frequency)
         })?;
         let mttf_sofr = sofr::sofr_mttf_identical(component_mttf, c)?;
 
         let system_rate = component_rate.scale(c as f64);
         let mttf_renewal = self.timed("renewal_quadrature", || {
-            serr_analytic::renewal::renewal_mttf(&trace, system_rate, self.frequency)
+            serr_analytic::renewal::renewal_mttf(analytic, system_rate, self.frequency)
         })?;
         let mttf_softarch = self.timed("softarch", || {
-            SoftArch::new(self.frequency).component_mttf(&trace, system_rate)
+            SoftArch::new(self.frequency).component_mttf(analytic, system_rate)
         })?;
 
         Ok(SystemValidation {
@@ -301,20 +353,26 @@ impl Validator {
         let rates: Vec<_> = per_part?.into_iter().flatten().collect();
         let mttf_sofr = sofr::sofr_failure_rate(rates)?.to_mttf();
 
-        // Ground truth on the superposed system.
+        // Ground truth on the superposed system, from the one compile of
+        // its combined trace that the analytic estimators share.
         let mut builder = SystemModel::builder(self.frequency);
         for (i, (rate, trace)) in parts.iter().enumerate() {
             builder.add(format!("part{i}"), *rate, trace.clone())?;
         }
         let system = builder.build()?;
-        let mttf_mc = self.mc.system_mttf(&system)?;
         let combined = system.combined_trace();
         let total = system.total_rate();
+        let compiled = self.mc.compile(&combined);
+        let mttf_mc = match &compiled {
+            Some(c) => self.mc.compiled_mttf(c, total, self.frequency)?,
+            None => self.mc.system_mttf(&system)?,
+        };
+        let analytic = analytic_trace(&combined, compiled.as_ref());
         let mttf_renewal = self.timed("renewal_quadrature", || {
-            serr_analytic::renewal::renewal_mttf(&combined, total, self.frequency)
+            serr_analytic::renewal::renewal_mttf(analytic, total, self.frequency)
         })?;
         let mttf_softarch = self
-            .timed("softarch", || SoftArch::new(self.frequency).component_mttf(&combined, total))?;
+            .timed("softarch", || SoftArch::new(self.frequency).component_mttf(analytic, total))?;
 
         Ok(SystemValidation {
             components: parts.len() as u64,
@@ -327,6 +385,25 @@ impl Validator {
             softarch_error_vs_mc: relative_error(mttf_softarch.as_secs(), mttf_mc.mttf.as_secs()),
         })
     }
+}
+
+/// The trace renewal and SoftArch read: the compiled table when it gives
+/// them the source's own bits, the source otherwise.
+fn analytic_trace<'a>(
+    source: &'a dyn VulnerabilityTrace,
+    compiled: Option<&'a CompiledTrace>,
+) -> &'a dyn VulnerabilityTrace {
+    match compiled {
+        Some(c) if c.folds_like(source) => c,
+        _ => source,
+    }
+}
+
+fn check_components(c: u64) -> Result<(), SerrError> {
+    if c == 0 {
+        return Err(SerrError::invalid_config("system must have at least one component"));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

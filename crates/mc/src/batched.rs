@@ -26,7 +26,9 @@
 //! 3. **Batched inversion**: all final-window phases resolve through
 //!    [`CompiledTrace::phase_at_cumulative_batch`] — a branchless
 //!    select-chain whose prefix table lives in registers across the whole
-//!    chunk instead of being re-probed per trial.
+//!    chunk instead of being re-probed per trial, or, on tables past 32
+//!    segments, the bucket probe staged in passes whose cache misses
+//!    overlap across trials.
 //! 4. **One fold**: each chunk's statistics come from a single compensated
 //!    pass fused into the kernel's final TTF fold
 //!    ([`serr_numeric::stats::RunningStats::from_mapped_slice`]) — the

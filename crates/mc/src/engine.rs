@@ -232,8 +232,10 @@ impl MonteCarlo {
         freq: Frequency,
     ) -> Result<MttfEstimate, SerrError> {
         self.validate(trace, rate)?;
-        let lambda_cycle = rate.per_second_value() / freq.hz();
-        self.run(trace, lambda_cycle, freq)
+        match self.compile(trace) {
+            Some(c) => self.compiled_mttf(&c, rate, freq),
+            None => self.run(trace, None, rate.per_second_value() / freq.hz(), freq),
+        }
     }
 
     /// Estimates the MTTF of a whole system — the ground truth against which
@@ -246,8 +248,47 @@ impl MonteCarlo {
         let trace = system.combined_trace();
         let rate = system.total_rate();
         self.validate(&trace, rate)?;
-        let lambda_cycle = rate.per_second_value() / system.frequency().hz();
-        self.run(&trace, lambda_cycle, system.frequency())
+        match self.compile(&trace) {
+            Some(c) => self.compiled_mttf(&c, rate, system.frequency()),
+            None => {
+                let lambda_cycle = rate.per_second_value() / system.frequency().hz();
+                self.run(&trace, None, lambda_cycle, system.frequency())
+            }
+        }
+    }
+
+    /// [`MonteCarlo::component_mttf`] on a trace that is already compiled:
+    /// the entry every compiled run goes through, so a caller that shares
+    /// one [`CompiledTrace`] between Monte Carlo and the analytic
+    /// estimators compiles once. Bit-identical to
+    /// [`MonteCarlo::component_mttf`] on the trace `compiled` was built
+    /// from; records no `stage.trace_compile` (the caller compiled).
+    ///
+    /// # Errors
+    ///
+    /// As for [`MonteCarlo::component_mttf`].
+    pub fn compiled_mttf(
+        &self,
+        compiled: &CompiledTrace,
+        rate: RawErrorRate,
+        freq: Frequency,
+    ) -> Result<MttfEstimate, SerrError> {
+        self.validate(compiled, rate)?;
+        self.run(compiled, Some(compiled), rate.per_second_value() / freq.hz(), freq)
+    }
+
+    /// Compiles `trace` for runs on this engine, recording the compile's
+    /// wall time as `stage.trace_compile` on the attached observer. `None`
+    /// for traces too large to flatten; runs then fall back to the event
+    /// loop on the source.
+    #[must_use]
+    pub fn compile(&self, trace: &dyn VulnerabilityTrace) -> Option<CompiledTrace> {
+        let t_compile = std::time::Instant::now();
+        let compiled = CompiledTrace::compile(trace);
+        if let Some(obs) = &self.obs {
+            obs.record_stage("trace_compile", t_compile.elapsed().as_secs_f64() * 1e3);
+        }
+        compiled
     }
 
     /// Draws `n` raw time-to-failure samples (in seconds) for distribution
@@ -296,23 +337,19 @@ impl MonteCarlo {
         Ok(())
     }
 
+    /// Runs the configured sampler over `compiled` (every worker then runs
+    /// the monomorphized loop with O(1) trace lookups and no virtual
+    /// dispatch), or over the generic `trace` when it did not compile.
     fn run(
         &self,
         trace: &dyn VulnerabilityTrace,
+        compiled: Option<&CompiledTrace>,
         lambda_cycle: f64,
         freq: Frequency,
     ) -> Result<MttfEstimate, SerrError> {
-        // Compile once; every worker then runs the monomorphized loop with
-        // O(1) trace lookups and no virtual dispatch. Falls back to the
-        // generic loop for traces too large to flatten.
-        let t_compile = std::time::Instant::now();
-        let compiled = CompiledTrace::compile(trace);
-        if let Some(obs) = &self.obs {
-            obs.record_stage("trace_compile", t_compile.elapsed().as_secs_f64() * 1e3);
-        }
         let t_run = std::time::Instant::now();
         let (chunks, truncated, sampler) =
-            self.run_sampler(trace, compiled.as_ref(), lambda_cycle, false)?;
+            self.run_sampler(trace, compiled, lambda_cycle, false)?;
 
         // Fold in ascending chunk order: the reduction order (and thus the
         // result, bit for bit) is independent of the thread count. The

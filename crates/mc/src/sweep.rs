@@ -93,28 +93,38 @@ impl MonteCarlo {
         rates: &[RawErrorRate],
         freq: Frequency,
     ) -> Result<Vec<Result<MttfEstimate, SerrError>>, SerrError> {
-        self.config.validate()?;
-        if trace.is_never_vulnerable() {
-            return Err(SerrError::invalid_trace(
-                "trace has AVF = 0; the component can never fail",
-            ));
-        }
+        self.validate_multi(trace)?;
         if rates.is_empty() {
             return Ok(Vec::new());
         }
-
-        let t_compile = Instant::now();
-        let compiled = CompiledTrace::compile(trace);
-        if let Some(obs) = &self.obs {
-            obs.record_stage("trace_compile", t_compile.elapsed().as_secs_f64() * 1e3);
+        match self.compile(trace) {
+            Some(c) => self.compiled_mttf_multi(&c, rates, freq),
+            // An uncompilable trace runs each point independently on the
+            // event loop — the definition of the per-point result, so
+            // equivalence holds trivially.
+            None => Ok(rates.iter().map(|&r| self.component_mttf(trace, r, freq)).collect()),
         }
-        let Some(c) = compiled.filter(|_| self.config.sampler == SamplerKind::BatchedInversion)
-        else {
-            // Per-point fallback: an uncompilable trace or a non-batched
-            // sampler runs each point independently — the definition of
-            // the per-point result, so equivalence holds trivially.
-            return Ok(rates.iter().map(|&r| self.component_mttf(trace, r, freq)).collect());
-        };
+    }
+
+    /// [`MonteCarlo::component_mttf_multi`] on a trace that is already
+    /// compiled, bit-identical to it on the trace `compiled` was built
+    /// from; records no `stage.trace_compile` (the caller compiled).
+    ///
+    /// # Errors
+    ///
+    /// As for [`MonteCarlo::component_mttf_multi`].
+    pub fn compiled_mttf_multi(
+        &self,
+        compiled: &CompiledTrace,
+        rates: &[RawErrorRate],
+        freq: Frequency,
+    ) -> Result<Vec<Result<MttfEstimate, SerrError>>, SerrError> {
+        self.validate_multi(compiled)?;
+        if self.config.sampler != SamplerKind::BatchedInversion {
+            // The per-trial samplers have no shared-stream kernel: each
+            // point runs independently, which defines the per-point result.
+            return Ok(rates.iter().map(|&r| self.compiled_mttf(compiled, r, freq)).collect());
+        }
 
         let zero_rate = || SerrError::invalid_config("raw error rate is zero; MTTF is infinite");
         let hz = freq.hz();
@@ -134,7 +144,9 @@ impl MonteCarlo {
 
         let samplers: Vec<BatchedInversionSampler> = valid
             .iter()
-            .map(|&(_, lambda)| BatchedInversionSampler::new(&c, lambda, self.config.start_phase))
+            .map(|&(_, lambda)| {
+                BatchedInversionSampler::new(compiled, lambda, self.config.start_phase)
+            })
             .collect();
         let seed = self.config.seed;
         let t_run = Instant::now();
@@ -214,6 +226,18 @@ impl MonteCarlo {
             out[i] = Ok(est);
         }
         Ok(out)
+    }
+
+    /// The faults that poison every point of a multi-rate run at once: an
+    /// invalid configuration or an AVF-0 trace.
+    fn validate_multi(&self, trace: &dyn VulnerabilityTrace) -> Result<(), SerrError> {
+        self.config.validate()?;
+        if trace.is_never_vulnerable() {
+            return Err(SerrError::invalid_trace(
+                "trace has AVF = 0; the component can never fail",
+            ));
+        }
+        Ok(())
     }
 }
 

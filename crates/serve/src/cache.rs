@@ -27,14 +27,14 @@ pub enum CacheOutcome {
     Miss,
 }
 
-/// One cached workload: the raw trace for the estimator and the compiled
-/// form for guard verification.
+/// One cached workload: the raw trace (AVF reads it) and its verified
+/// compiled form, which Monte Carlo, renewal and SoftArch share.
 #[derive(Clone)]
 pub struct CachedTrace {
     /// The trace exactly as the batch CLI would build it.
     pub raw: Arc<dyn VulnerabilityTrace>,
     /// The compiled form, when the trace is compilable (all service
-    /// workloads are; `None` falls back to the event-loop path).
+    /// workloads are; `None` falls back to the event-loop path on `raw`).
     pub compiled: Option<Arc<CompiledTrace>>,
 }
 

@@ -1146,11 +1146,12 @@ fn run_validator(
     let v = Validator::new(state.experiment.frequency, mc);
     let (avf, mttf_step_s, mc_est) = match &job.body {
         RequestBody::Mttf { .. } => {
-            let r = v.component(&*cached.raw, rate)?;
+            let r = v.component_on(&*cached.raw, cached.compiled.as_deref(), rate)?;
             (r.avf, r.mttf_avf.as_secs(), r.mttf_mc)
         }
         RequestBody::Sofr { components, .. } => {
-            let r = v.system_identical(Arc::clone(&cached.raw), rate, *components)?;
+            let r =
+                v.system_identical_on(&*cached.raw, cached.compiled.as_deref(), rate, *components)?;
             (cached.raw.avf(), r.mttf_sofr.as_secs(), r.mttf_mc)
         }
         RequestBody::Sweep { .. } | RequestBody::Stats | RequestBody::Shutdown => {
@@ -1198,11 +1199,15 @@ fn run_sweep_validator(
         ..Default::default()
     };
     let v = Validator::new(state.experiment.frequency, mc);
-    let ests =
-        v.monte_carlo().component_mttf_multi(&*cached.raw, &rates, state.experiment.frequency)?;
+    let freq = state.experiment.frequency;
+    let compiled = cached.compiled.as_deref();
+    let ests = match compiled {
+        Some(c) => v.monte_carlo().compiled_mttf_multi(c, &rates, freq)?,
+        None => v.monte_carlo().component_mttf_multi(&*cached.raw, &rates, freq)?,
+    };
     let mut points = Vec::with_capacity(ests.len());
     for (i, est) in ests.into_iter().enumerate() {
-        let r = v.component_with_mc(&*cached.raw, rates[i], est?)?;
+        let r = v.component_with_mc(&*cached.raw, compiled, rates[i], est?)?;
         points.push(Estimate {
             mttf_mc_s: r.mttf_mc.mttf.as_secs(),
             rel_ci95: r.mttf_mc.relative_ci95(),

@@ -84,6 +84,9 @@ pub struct CompiledTrace {
     /// inv_buckets.len()` — the search window start for any mass coordinate
     /// inside bucket `b`. Empty when `total == 0` (nothing to invert).
     inv_buckets: Vec<u32>,
+    /// True when compilation merged or dropped at least one source span,
+    /// so `ends` is not the source's `breakpoints()` list.
+    spans_merged: bool,
 }
 
 impl CompiledTrace {
@@ -124,14 +127,17 @@ impl CompiledTrace {
         let mut prefix: Vec<f64> = Vec::with_capacity(spans.len());
         let mut start = 0u64;
         let mut cum = 0.0f64;
+        let mut spans_merged = false;
         for end in spans {
             if end <= start {
                 // Defensive: tolerate unsorted/duplicate breakpoints.
+                spans_merged = true;
                 continue;
             }
             let v = trace.vulnerability_at(start);
             if values.last() == Some(&v) {
                 *ends.last_mut().expect("values and ends stay in lockstep") = end;
+                spans_merged = true;
             } else {
                 prefix.push(cum);
                 ends.push(end);
@@ -161,7 +167,22 @@ impl CompiledTrace {
             bucket_shift,
             buckets,
             inv_buckets,
+            spans_merged,
         })
+    }
+
+    /// True when the span-walking estimators — the default
+    /// [`VulnerabilityTrace::survival_weight`] behind the renewal MTTF and
+    /// SoftArch's per-span block fold — read bit-for-bit the same inputs
+    /// from this table as from `source`, the trace it was compiled from.
+    /// That holds when `source` folds by its spans
+    /// ([`VulnerabilityTrace::folds_by_span`]) and compilation kept every
+    /// one of them: the table then has the source's breakpoints and, at
+    /// each span start, the value `source.vulnerability_at` returned
+    /// there. When it is false, run those estimators on `source`.
+    #[must_use]
+    pub fn folds_like(&self, source: &dyn VulnerabilityTrace) -> bool {
+        !self.spans_merged && source.folds_by_span()
     }
 
     /// Number of (merged) segments in the flattened form.
@@ -248,15 +269,37 @@ impl CompiledTrace {
             // AVF = 0 traces never fail.
             return 0.0;
         }
-        let n = self.values.len();
         let m = m.clamp(0.0, self.total);
+        let (lo, hi) = self.inv_window(m, self.inv_bucket_width());
+        self.phase_in_segment(m, self.pin_segment(m, lo, hi))
+    }
+
+    /// Width of one inverse bucket in mass units. Callers have checked
+    /// that the inverse table is non-empty.
+    #[inline]
+    fn inv_bucket_width(&self) -> f64 {
+        self.total / self.inv_buckets.len() as f64
+    }
+
+    /// Step 1 of the inverse lookup: the window `lo..hi` of prefix entries
+    /// that the inverse bucket of `m` (already clamped to `[0, total]`)
+    /// brackets, with ±1 slack; the pin-walk makes correctness independent
+    /// of any rounding in the bucket index.
+    #[inline]
+    fn inv_window(&self, m: f64, width: f64) -> (usize, usize) {
+        let n = self.values.len();
         let n_inv = self.inv_buckets.len();
-        let w = self.total / n_inv as f64;
-        let b = ((m / w) as usize).min(n_inv - 1);
-        // ±1 slack around the bucket's window; the walk below makes
-        // correctness independent of any rounding in `b`.
+        let b = ((m / width) as usize).min(n_inv - 1);
         let lo = (self.inv_buckets[b] as usize).saturating_sub(1).min(n - 1);
         let hi = self.inv_buckets.get(b + 1).map_or(n, |&j| (j as usize + 1).min(n));
+        (lo, hi)
+    }
+
+    /// Step 2 of the inverse lookup: the last segment `i` with
+    /// `prefix[i] <= m`, searched inside the window `lo..hi`.
+    #[inline]
+    fn pin_segment(&self, m: f64, lo: usize, hi: usize) -> usize {
+        let n = self.values.len();
         let j = if hi.saturating_sub(lo) <= LINEAR_SCAN_MAX {
             let mut j = lo;
             while j < hi && self.prefix[j] <= m {
@@ -276,6 +319,13 @@ impl CompiledTrace {
         while i + 1 < n && self.prefix[i + 1] <= m {
             i += 1;
         }
+        i
+    }
+
+    /// Step 3 of the inverse lookup: the fractional phase of mass `m`
+    /// inside segment `i`.
+    #[inline]
+    fn phase_in_segment(&self, m: f64, i: usize) -> f64 {
         let start = if i == 0 { 0 } else { self.ends[i - 1] };
         let v = self.values[i];
         let off = if v > 0.0 { (m - self.prefix[i]).max(0.0) / v } else { 0.0 };
@@ -291,9 +341,14 @@ impl CompiledTrace {
     }
 
     /// Longest segment table resolved by the branchless select-chain in
-    /// [`CompiledTrace::phase_at_cumulative_batch`]; longer tables fall
-    /// back to the bucketed scalar probe per element.
+    /// [`CompiledTrace::phase_at_cumulative_batch`]; longer tables take the
+    /// staged bucket probe.
     pub const BATCH_SCAN_SEGMENTS: usize = 32;
+
+    /// Trials per block of the staged large-table path of
+    /// [`CompiledTrace::phase_at_cumulative_batch`]: each of its three
+    /// passes issues this many independent loads.
+    const STAGE_BLOCK: usize = 64;
 
     /// Batched [`CompiledTrace::phase_at_cumulative`]: replaces every mass
     /// coordinate in `masses` with its inverse phase, in place.
@@ -309,16 +364,24 @@ impl CompiledTrace {
     /// win), no data-dependent branches, and no gathers — every table
     /// entry is a loop-invariant scalar — which is what lets the compiler
     /// keep the prefix data in registers and vectorize across the batch.
-    /// Larger tables delegate to [`CompiledTrace::phase_at_cumulative`]
-    /// per element, which is still `O(1)` amortized through the inverse
-    /// bucket index.
     ///
-    /// The returned phases land in the same segment the scalar probe picks
-    /// for every input; within the segment the offset is computed with a
-    /// precomputed reciprocal (one ulp-level difference from the scalar
-    /// division), which is why the batched sampler carries its own RNG
-    /// schedule version instead of claiming bit-equality with the scalar
-    /// sampler.
+    /// Larger tables (real SPEC traces have 10⁴–10⁵ segments, beyond L2)
+    /// take a staged form of the scalar bucket probe. One trial's probe is
+    /// a chain of dependent cache misses — inverse bucket, then prefix
+    /// window, then segment geometry — so the batch runs in blocks of
+    /// `STAGE_BLOCK` trials, one pass per link of the chain: read every
+    /// trial's bucket window, then pin every trial's segment, then compute
+    /// every trial's phase. The loads within a pass do not depend on each
+    /// other, so their misses overlap. The passes call the same window,
+    /// pin and phase helpers as [`CompiledTrace::phase_at_cumulative`], so
+    /// this path returns the scalar probe's phases bit for bit.
+    ///
+    /// On small tables the returned phases land in the same segment the
+    /// scalar probe picks for every input; within the segment the offset
+    /// is computed with a precomputed reciprocal (one ulp-level difference
+    /// from the scalar division), which is why the batched sampler carries
+    /// its own RNG schedule version instead of claiming bit-equality with
+    /// the scalar sampler.
     pub fn phase_at_cumulative_batch(&self, masses: &mut [f64]) {
         if self.inv_buckets.is_empty() || !has_positive_mass(self.total) {
             masses.fill(0.0);
@@ -333,10 +396,28 @@ impl CompiledTrace {
             17..=Self::BATCH_SCAN_SEGMENTS => {
                 self.invert_select_chain::<{ Self::BATCH_SCAN_SEGMENTS }>(masses);
             }
-            _ => {
-                for m in masses {
-                    *m = self.phase_at_cumulative(*m);
-                }
+            _ => self.invert_staged(masses),
+        }
+    }
+
+    /// The staged large-table body of
+    /// [`CompiledTrace::phase_at_cumulative_batch`]: per block, one pass
+    /// per step of the scalar probe.
+    fn invert_staged(&self, masses: &mut [f64]) {
+        let width = self.inv_bucket_width();
+        let mut lo = [0usize; Self::STAGE_BLOCK];
+        let mut hi = [0usize; Self::STAGE_BLOCK];
+        let mut seg = [0usize; Self::STAGE_BLOCK];
+        for block in masses.chunks_mut(Self::STAGE_BLOCK) {
+            for (k, m) in block.iter_mut().enumerate() {
+                *m = m.clamp(0.0, self.total);
+                (lo[k], hi[k]) = self.inv_window(*m, width);
+            }
+            for (k, &m) in block.iter().enumerate() {
+                seg[k] = self.pin_segment(m, lo[k], hi[k]);
+            }
+            for (m, &i) in block.iter_mut().zip(&seg) {
+                *m = self.phase_in_segment(*m, i);
             }
         }
     }
@@ -1049,8 +1130,8 @@ mod tests {
 
     #[test]
     fn batch_inverse_agrees_with_scalar_probe() {
-        // Small tables take the branchless count-scan; large ones fall back
-        // to the scalar probe. Either way each mass must land in the same
+        // Small tables take the branchless count-scan; large ones the staged
+        // form of the scalar probe. Either way each mass must land in the same
         // segment as the scalar lookup, with the in-segment offset equal up
         // to the reciprocal-vs-division rounding.
         for (seed, n) in [(3u64, 4usize), (7, 20), (5, 32), (13, 1_000)] {

@@ -172,6 +172,11 @@ impl VulnerabilityTrace for ConcatTrace {
         out
     }
 
+    fn folds_by_span(&self) -> bool {
+        // `survival_weight` is overridden with a closed form.
+        false
+    }
+
     fn tiling(&self) -> Option<Vec<(Arc<dyn VulnerabilityTrace>, u64)>> {
         Some(self.parts.iter().map(|p| (p.trace.clone(), p.tiles)).collect())
     }

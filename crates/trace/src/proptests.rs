@@ -193,6 +193,101 @@ proptest! {
     }
 }
 
+/// A large compiled table for the staged inverse lookup: between 33 (one
+/// past the select-chain's reach) and ~10⁵ segments, log-uniform, each a
+/// different value from its predecessor so compilation merges nothing.
+/// About a fifth of the segments are zero-mass (`v = 0`), so runs of equal
+/// prefix sums sit inside the table; lengths are mostly short, with the
+/// occasional long span that crowds an inverse bucket.
+fn arb_large_table() -> impl Strategy<Value = CompiledTrace> {
+    (0.0f64..1.0, any::<u64>()).prop_map(|(u, seed)| {
+        let n = (33.0 * (100_000.0f64 / 33.0).powf(u)) as usize;
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut segs = Vec::with_capacity(n);
+        let mut prev = -1.0f64;
+        while segs.len() < n {
+            let r = next();
+            let v = match r % 5 {
+                0 => 0.0,
+                1 => 1.0,
+                _ => ((r >> 8) % 16 + 1) as f64 / 17.0,
+            };
+            if v == prev {
+                continue;
+            }
+            let len =
+                if (r >> 20) % 50 == 0 { 1 + (r >> 24) % 1_000_000 } else { 1 + (r >> 24) % 64 };
+            segs.push(Segment::new(len, v).expect("valid by construction"));
+            prev = v;
+        }
+        CompiledTrace::compile(&IntervalTrace::from_segments(segs).expect("valid segments"))
+            .expect("tables under the cap compile")
+    })
+}
+
+/// Masses that stress the inverse lookup: 0, the last mass below the
+/// total, exact inverse-bucket boundaries `b·w` and their neighbours,
+/// exact prefix sums (segment starts, including those shared by zero-mass
+/// runs), and uniform draws; `len` of them, so batch lengths need not be a
+/// multiple of the staged path's block.
+fn stress_masses(c: &CompiledTrace, seed: u64, len: usize) -> Vec<f64> {
+    let total = c.total_mass();
+    let n_inv = c.inv_bucket_count() as u64;
+    let width = total / n_inv as f64;
+    let starts: Vec<u64> = std::iter::once(0)
+        .chain(c.breakpoints().into_iter().filter(|&e| e < c.period_cycles()))
+        .collect();
+    let mut state = seed | 1;
+    (0..len)
+        .map(|k| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let r = state >> 11;
+            let m = match k % 6 {
+                0 => 0.0,
+                1 => total.next_down(),
+                2 => (r % n_inv) as f64 * width,
+                3 => ((r % n_inv) as f64 * width).next_up(),
+                4 => c.cumulative_within_period(starts[(r % starts.len() as u64) as usize]),
+                _ => (r as f64 / (1u64 << 53) as f64) * total,
+            };
+            m.min(total.next_down())
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn staged_batch_inverse_is_bit_identical_to_the_scalar_probe(
+        c in arb_large_table(),
+        seed in any::<u64>(),
+        len in 1usize..700,
+    ) {
+        prop_assert!(c.segment_count() > CompiledTrace::BATCH_SCAN_SEGMENTS);
+        let masses = stress_masses(&c, seed, len);
+        let scalar: Vec<f64> = masses.iter().map(|&m| c.phase_at_cumulative(m)).collect();
+        let mut batch = masses.clone();
+        c.phase_at_cumulative_batch(&mut batch);
+        for (i, (&b, &s)) in batch.iter().zip(&scalar).enumerate() {
+            prop_assert_eq!(
+                b.to_bits(),
+                s.to_bits(),
+                "mass #{} = {} of {} segments: batch {} vs scalar {}",
+                i, masses[i], c.segment_count(), b, s
+            );
+        }
+    }
+}
+
 /// A non-degenerate protection transform with parameters scaled to the
 /// small traces `arb_segments`/`arb_levels` produce.
 fn arb_transform() -> impl Strategy<Value = Transform> {

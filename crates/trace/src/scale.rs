@@ -95,6 +95,11 @@ impl VulnerabilityTrace for ScaledTrace {
         (integral, u_total * self.factor)
     }
 
+    fn folds_by_span(&self) -> bool {
+        // `survival_weight` is overridden with a closed form.
+        false
+    }
+
     fn tiling(&self) -> Option<Vec<(Arc<dyn VulnerabilityTrace>, u64)>> {
         self.inner.tiling().map(|parts| {
             parts

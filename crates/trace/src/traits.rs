@@ -111,6 +111,21 @@ pub trait VulnerabilityTrace: Send + Sync {
         None
     }
 
+    /// True when this trace's [`survival_weight`] and [`tiling`] are the
+    /// defaults above, so the renewal MTTF and SoftArch both fold the
+    /// trace span by span over [`breakpoints`] and `vulnerability_at`.
+    /// Any lowering with the same spans and values then gives those
+    /// estimators the same bits (see
+    /// [`crate::CompiledTrace::folds_like`]). Representations that fold in
+    /// closed form return `false`.
+    ///
+    /// [`survival_weight`]: VulnerabilityTrace::survival_weight
+    /// [`tiling`]: VulnerabilityTrace::tiling
+    /// [`breakpoints`]: VulnerabilityTrace::breakpoints
+    fn folds_by_span(&self) -> bool {
+        true
+    }
+
     /// An upper bound on `breakpoints().len()` — the number of
     /// constant-vulnerability spans in one period — that must be cheap to
     /// compute (no span enumeration). [`crate::CompiledTrace::compile`]
@@ -156,6 +171,9 @@ impl<T: VulnerabilityTrace + ?Sized> VulnerabilityTrace for &T {
     fn tiling(&self) -> Option<Vec<(Arc<dyn VulnerabilityTrace>, u64)>> {
         (**self).tiling()
     }
+    fn folds_by_span(&self) -> bool {
+        (**self).folds_by_span()
+    }
     fn span_count_hint(&self) -> u64 {
         (**self).span_count_hint()
     }
@@ -185,6 +203,9 @@ impl<T: VulnerabilityTrace + ?Sized> VulnerabilityTrace for std::sync::Arc<T> {
     }
     fn tiling(&self) -> Option<Vec<(Arc<dyn VulnerabilityTrace>, u64)>> {
         (**self).tiling()
+    }
+    fn folds_by_span(&self) -> bool {
+        (**self).folds_by_span()
     }
     fn span_count_hint(&self) -> u64 {
         (**self).span_count_hint()

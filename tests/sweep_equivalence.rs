@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use serr_core::prelude::{Validator, VulnerabilityTrace};
 use serr_mc::{MonteCarlo, MonteCarloConfig, MttfEstimate, SamplerKind, StartPhase};
-use serr_trace::{IntervalTrace, Transform, TransformPipeline};
+use serr_trace::{CompiledTrace, IntervalTrace, Transform, TransformPipeline};
 use serr_types::{Frequency, RawErrorRate};
 
 fn engine(threads: usize, start_phase: StartPhase) -> MonteCarlo {
@@ -117,7 +117,8 @@ fn kernel_sweeps_are_bit_identical_across_thread_counts() {
 #[test]
 fn validator_rows_from_kernel_estimates_match_independent_validation() {
     // The grouped sweep path builds its rows with
-    // `Validator::component_with_mc` from kernel estimates; the row must
+    // `Validator::component_with_mc` from kernel estimates on the group's
+    // one compiled trace; the row must
     // be indistinguishable from the one `Validator::component` computes
     // with its own independent engine run.
     let freq = Frequency::base();
@@ -130,10 +131,12 @@ fn validator_rows_from_kernel_estimates_match_independent_validation() {
         ..Default::default()
     };
     let v = Validator::new(freq, mc);
-    let kernel = v.monte_carlo().component_mttf_multi(&*trace, &rates, freq).expect("kernel run");
+    let compiled = CompiledTrace::compile(&*trace).expect("protected trace compiles");
+    let kernel = v.monte_carlo().compiled_mttf_multi(&compiled, &rates, freq).expect("kernel run");
     for (i, est) in kernel.into_iter().enumerate() {
-        let grouped =
-            v.component_with_mc(&*trace, rates[i], est.expect("point")).expect("grouped row");
+        let grouped = v
+            .component_with_mc(&*trace, Some(&compiled), rates[i], est.expect("point"))
+            .expect("grouped row");
         let solo = v.component(&*trace, rates[i]).expect("solo row");
         assert_eq!(
             grouped.mttf_mc.mttf.as_secs().to_bits(),
